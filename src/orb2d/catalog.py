@@ -3,9 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from operator import itemgetter
 from typing import Iterator
 
-from .classify import classify, theorem_check
+from .classify import theorem_check
 from .group import InternalInconsistencyError
 from .signature import (
     MANIFOLD,
@@ -84,10 +85,9 @@ def catalog_records(bounds: CatalogBounds) -> tuple[list[dict], dict]:
     Every record must pass theorem_check; a failure names the violating
     signature (it signals an implementation bug, not bad input).
     """
-    signatures = sorted(enumerate_signatures(bounds), key=format_signature)
     records = []
     summary = {"total": 0, "good": 0, "bad": 0, "finite": 0, "infinite": 0}
-    for sig in signatures:
+    for sig in enumerate_signatures(bounds):
         report = theorem_check(sig)
         if not report.ok:
             failed = ", ".join(c.clause for c in report.failures())
@@ -99,4 +99,6 @@ def catalog_records(bounds: CatalogBounds) -> tuple[list[dict], dict]:
         summary["total"] += 1
         summary["good" if record["good"] else "bad"] += 1
         summary["finite" if record["finite"] else "infinite"] += 1
+    # Canonical text is unique, so sorting on it alone fixes the order.
+    records.sort(key=itemgetter("sig"))
     return records, summary

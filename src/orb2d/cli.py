@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 internal
-consistency failure (a theorem_check violation in catalog generation).
+consistency failure (a check of the program's own result failed: a
+theorem_check violation in catalog generation, a Smith form, a group order,
+or a search-produced cover witness).
 """
 from __future__ import annotations
 
@@ -139,9 +141,9 @@ def _cmd_abel(sig: Signature, fmt: str) -> int:
     return 0
 
 
-def _cmd_cover(sig: Signature, fmt: str, max_degree: int, parallel: bool) -> int:
+def _cmd_cover(sig: Signature, fmt: str, max_degree: int) -> int:
     reduced = _reduced_with_note(sig, fmt)
-    witness = manifold_cover_search(reduced, max_degree, parallel=parallel)
+    witness = manifold_cover_search(reduced, max_degree)
     schedule = degree_schedule(reduced, max_degree)
     if fmt == "json":
         print(
@@ -205,7 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cover = sub.add_parser("cover")
     cover.add_argument("signature")
     cover.add_argument("--max-degree", type=int, default=12)
-    cover.add_argument("--parallel", action="store_true")
     catalog = sub.add_parser("catalog")
     catalog.add_argument("--max-genus", type=int, default=0)
     catalog.add_argument("--max-cones", type=int, default=0)
@@ -236,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "abel":
             return _cmd_abel(sig, fmt)
         if args.command == "cover":
-            return _cmd_cover(sig, fmt, args.max_degree, args.parallel)
+            return _cmd_cover(sig, fmt, args.max_degree)
         raise AssertionError(args.command)
     except (SignatureSyntaxError, SignatureValueError) as err:
         print(f"parse error: {err}", file=sys.stderr)

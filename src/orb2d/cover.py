@@ -9,16 +9,16 @@ The search is depth-first backtracking over partial permutation tables,
 assigning cone generators first and handle generators after, with three
 prunings: exact-cycle-length propagation, relator scanning (partial
 products of the long relator), and introduction of new points in
-increasing order (symmetry breaking, which also makes the canonical
-single-threaded search deterministic).
+increasing order (symmetry breaking, which also makes the search
+deterministic).
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .group import InternalInconsistencyError
 from .signature import PreconditionError, Signature, orbifold_euler
 
 Perm = tuple[int, ...]
@@ -344,40 +344,31 @@ def _witness_from_perms(sig: Signature, n: int, perms: list[Perm]) -> CoverWitne
 
 
 def search_at_degree(sig: Signature, n: int) -> CoverWitness | None:
-    """Canonical deterministic search for a witness of exactly degree n."""
+    """Canonical deterministic search for a witness of exactly degree n.
+
+    A found witness is re-checked by :func:`verify_witness`; one that fails
+    raises :class:`InternalInconsistencyError`.
+    """
     perms = _Search(sig, n).run()
     if perms is None:
         return None
     witness = _witness_from_perms(sig, n, perms)
     check = verify_witness(sig, witness)
     if not check:
-        raise RuntimeError(f"search produced an invalid witness: {check.failure}")
+        raise InternalInconsistencyError(f"search produced an invalid witness: {check.failure}")
     return witness
 
 
-def manifold_cover_search(
-    sig: Signature, max_degree: int, parallel: bool = False
-) -> CoverWitness | None:
+def manifold_cover_search(sig: Signature, max_degree: int) -> CoverWitness | None:
     """Search the feasible degree schedule for a verified manifold cover.
 
     Returns the witness of minimal degree found under the canonical
     search order, or None if no feasible degree up to max_degree admits
-    one.  Parallel mode distributes degrees across worker processes and
-    re-verifies any result; the canonical single-threaded mode is the
-    deterministic contract.
+    one.
     """
     if max_degree < 1:
         raise PreconditionError("max_degree must be at least 1")
-    schedule = degree_schedule(sig, max_degree)
-    if parallel and len(schedule) > 1:
-        with ProcessPoolExecutor() as pool:
-            for witness in pool.map(search_at_degree, [sig] * len(schedule), schedule):
-                if witness is not None:
-                    if not verify_witness(sig, witness):
-                        raise RuntimeError("parallel worker returned an invalid witness")
-                    return witness
-        return None
-    for n in schedule:
+    for n in degree_schedule(sig, max_degree):
         witness = search_at_degree(sig, n)
         if witness is not None:
             return witness

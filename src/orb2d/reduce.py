@@ -148,42 +148,6 @@ def manifold_double(sig: Signature) -> ReductionStep:
     return ReductionStep(StepKind.MANIFOLD_DOUBLE, result, Relationship.SUBORBIFOLD_OF_DOUBLE)
 
 
-def reduce_final(sig: Signature) -> Signature:
-    """Final signature of the pipeline, without building trace records.
-
-    Agrees with ``reduce_to_closed(sig).final`` on every input; used on
-    hot paths (bulk classification) where the intermediate steps are not
-    needed.
-    """
-    genus = sig.genus
-    punctures = sig.punctures
-    boundary = sig.boundary
-    cones = sig.cones
-    if not sig.orientable:
-        genus -= 1
-        punctures *= 2
-        boundary = tuple(chain.from_iterable((c, c) for c in boundary))
-        cones = tuple(chain.from_iterable((p, p) for p in cones))
-    if boundary and boundary[-1].kind == MIRROR:
-        manifold_count = 0
-        merged = list(cones) + list(cones)
-        for circle in boundary:
-            if circle.kind == MANIFOLD:
-                manifold_count += 1
-            else:
-                merged.extend(circle.corners)
-        genus = 2 * genus + (len(boundary) - manifold_count) - 1
-        punctures *= 2
-        boundary = (_M_CIRCLE,) * (2 * manifold_count)
-        merged.sort()
-        cones = tuple(merged)
-    circles = len(boundary) + punctures  # end cut: punctures become circles
-    if circles:
-        genus = 2 * genus + circles - 1
-        cones = tuple(chain.from_iterable((p, p) for p in cones))
-    return Signature(True, genus, 0, (), cones)
-
-
 def reduce_to_closed(sig: Signature) -> ReductionTrace:
     """Run the full pipeline; already-reduced input yields an empty trace."""
     steps = []
@@ -207,3 +171,8 @@ def reduce_to_closed(sig: Signature) -> ReductionTrace:
         steps.append(step)
         current = step.result
     return ReductionTrace(sig, tuple(steps))
+
+
+def reduce_final(sig: Signature) -> Signature:
+    """The closed signature :func:`reduce_to_closed` ends with; the trace is dropped."""
+    return reduce_to_closed(sig).final

@@ -111,10 +111,6 @@ class Signature(NamedTuple):
         return self.orientable and self.is_closed
 
     @property
-    def mirror_circles(self) -> tuple[BoundaryCircle, ...]:
-        return tuple(c for c in self.boundary if c.kind == MIRROR)
-
-    @property
     def manifold_circle_count(self) -> int:
         return sum(1 for c in self.boundary if c.kind == MANIFOLD)
 
@@ -149,9 +145,7 @@ def orbifold_euler(sig: Signature) -> Fraction:
         for n in circle.corners:
             num = num * 2 * n + (n - 1) * den
             den *= 2 * n
-    surface = 2 - 2 * sig.genus if sig.orientable else 2 - sig.genus
-    underlying = surface - len(sig.boundary) - sig.punctures
-    return Fraction(underlying * den - num, den)
+    return Fraction(underlying_euler(sig) * den - num, den)
 
 
 _GRAMMAR_FIELDS = ("g", "pun", "cones", "bdry")

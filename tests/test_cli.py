@@ -3,7 +3,7 @@ import json
 import pytest
 
 from orb2d.catalog import CatalogBounds, catalog_records, circle_types, enumerate_signatures
-from orb2d.cli import EXIT_PARSE, EXIT_PRECONDITION, main
+from orb2d.cli import EXIT_INCONSISTENT, EXIT_PARSE, EXIT_PRECONDITION, main
 from orb2d.signature import MANIFOLD, MIRROR, format_signature, parse_signature
 
 
@@ -105,7 +105,7 @@ class TestCliCommands:
         # pin down the reporting format on that path.
         import orb2d.cli as cli
 
-        monkeypatch.setattr(cli, "manifold_cover_search", lambda s, n, parallel=False: None)
+        monkeypatch.setattr(cli, "manifold_cover_search", lambda s, n: None)
         code, out, _ = run(capsys, "cover", "O;g=0;cones=2,2,2,2", "--max-degree", "4")
         assert code == 0
         assert out.splitlines() == ["none", "tried degrees: 2, 4"]
@@ -172,3 +172,11 @@ class TestCliErrors:
         # A cover search with a nonsensical bound violates a precondition.
         code, _, err = run(capsys, "cover", "O;g=1", "--max-degree", "0")
         assert code == EXIT_PRECONDITION and err.startswith("precondition violated:")
+
+    def test_invalid_witness_exit_4(self, capsys, monkeypatch):
+        import orb2d.cover as cover
+
+        monkeypatch.setattr(cover, "verify_witness", lambda s, w: cover.VerifyResult(False, "stub"))
+        code, out, err = run(capsys, "cover", "O;g=0;cones=2,4,4")
+        assert code == EXIT_INCONSISTENT and not out
+        assert err.startswith("internal consistency failure:") and "Traceback" not in err

@@ -5,6 +5,7 @@ import pytest
 
 from orb2d.cover import (
     CoverWitness,
+    VerifyResult,
     compose,
     cycles,
     degree_schedule,
@@ -14,6 +15,7 @@ from orb2d.cover import (
     search_at_degree,
     verify_witness,
 )
+from orb2d.group import InternalInconsistencyError
 from orb2d.signature import PreconditionError, orbifold_euler, parse_signature
 
 
@@ -113,10 +115,12 @@ class TestSearch:
         s = sig("O;g=0;cones=2,2,3,3")
         assert manifold_cover_search(s, 12) == manifold_cover_search(s, 12)
 
-    def test_parallel_mode_returns_verified_witness(self):
-        s = sig("O;g=0;cones=2,4,4")
-        witness = manifold_cover_search(s, 12, parallel=True)
-        assert witness is not None and verify_witness(s, witness).ok
+    def test_invalid_witness_is_internal_inconsistency(self, monkeypatch):
+        import orb2d.cover as cover
+
+        monkeypatch.setattr(cover, "verify_witness", lambda s, w: VerifyResult(False, "stub"))
+        with pytest.raises(InternalInconsistencyError, match="invalid witness: stub"):
+            search_at_degree(sig("O;g=0;cones=2,4,4"), 4)
 
     def test_good_small_signatures_all_covered(self):
         # Desk-scale completeness: every good signature in the bounds
