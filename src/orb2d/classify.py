@@ -6,7 +6,11 @@ Thurston's notes, ch. 13): the teardrop, the spindle, and the mirror
 disk with one corner or with two corners of different orders.  Nothing
 non-orientable, punctured or with a manifold boundary circle is bad.
 Group finiteness is decided by the sign of the exact orbifold Euler
-characteristic.
+characteristic.  Every finite group's order is read off the signature
+too (:func:`~orb2d.group.group_order_if_finite`): 2/chi for a good
+signature, or 1/chi when it has an end (a puncture or a manifold
+circle); 1 for the teardrop, gcd(p, q) for the spindle (p, q), and twice
+the order of its double for a bad mirror disk.
 """
 from __future__ import annotations
 
@@ -16,9 +20,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .group import group_order_if_finite
-from .reduce import ReductionTrace, StepKind, reduce_final, reduce_to_closed
-from .signature import MIRROR, PreconditionError, Signature, format_signature, orbifold_euler
+from .group import bad_list_orders, group_order_if_finite
+from .reduce import reduce_final
+from .signature import PreconditionError, Signature, format_signature, orbifold_euler
 
 
 class Geometry(str, Enum):
@@ -57,63 +61,24 @@ class Classification(NamedTuple):
         return json.dumps(self.to_record(), separators=(", ", ": "))
 
 
-def is_bad(sig: Signature) -> bool:
-    """The closed-form bad list of the module docstring, for any signature.
-
-    A bad mirror disk's corners become the cones of its doubled sphere.
-    """
-    if not sig.orientable or sig.genus or sig.punctures:
-        return False
-    if not sig.boundary:
-        orders = sig.cones
-    elif len(sig.boundary) == 1 and sig.boundary[0].kind == MIRROR and not sig.cones:
-        orders = sig.boundary[0].corners
-    else:
-        return False
-    return len(orders) == 1 or (len(orders) == 2 and orders[0] != orders[1])
-
-
 def is_bad_closed(sig: Signature) -> bool:
-    """:func:`is_bad` on a closed orientable cone-only signature."""
+    """The bad list (:func:`~orb2d.group.bad_list_orders`) on a closed
+    orientable cone-only signature."""
     if not sig.is_reduced:
         raise PreconditionError("bad list applies to closed orientable cone-only signatures")
-    return is_bad(sig)
-
-
-def _order_from_trace(trace: ReductionTrace, good: bool) -> int | None:
-    """Group order of the start signature, propagated back along the trace.
-
-    The reduced signature's order comes from the order formulas; each
-    2-sheeted covering step doubles it (index-2 subgroup).  Across a
-    manifold double the order is determined only when the pre-double
-    signature is a disk with at most one cone, where it equals the cone
-    order.
-    """
-    final = trace.final
-    order: int | None = group_order_if_finite(final, orbifold_euler(final), good)
-    for step, pre in zip(reversed(trace.steps), reversed(trace.inputs())):
-        if order is None:
-            return None
-        if step.kind is StepKind.MANIFOLD_DOUBLE:
-            is_disk = pre.genus == 0 and len(pre.boundary) == 1 and len(pre.cones) <= 1
-            order = (pre.cones[0] if pre.cones else 1) if is_disk else None
-        elif step.kind is not StepKind.END_CUT:
-            order = 2 * order
-    return order
+    return bad_list_orders(sig) is not None
 
 
 def classify(sig: Signature) -> Classification:
-    """Full verdict: exact Euler characteristic, goodness (:func:`is_bad`,
-    with no reduction), finiteness, group order where determined (the one
-    part that builds the reduction trace), and geometry tag."""
+    """Full verdict, read straight off the signature with no reduction:
+    exact Euler characteristic, goodness (the bad list), finiteness, the
+    order of a finite group, and geometry tag."""
     chi = orbifold_euler(sig)
-    good = not is_bad(sig)
+    good = bad_list_orders(sig) is None
     # The sign tests read the numerator directly (denominators are positive).
     sign = chi.numerator
     finite = sign > 0
-    # The full trace is only needed to propagate the order back, and
-    # only finite groups have one.
-    order = _order_from_trace(reduce_to_closed(sig), good) if finite else None
+    order = group_order_if_finite(sig, chi, good) if finite else None
     if not good:
         geometry = Geometry.BAD_NO_GEOMETRY
     elif sig.boundary or sig.punctures:

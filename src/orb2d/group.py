@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .signature import PreconditionError, Signature
+from .signature import MIRROR, PreconditionError, Signature
 
 Word = tuple[tuple[str, int], ...]
 
@@ -250,29 +250,47 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     return AbelianInvariants(free_rank, torsion)
 
 
-def group_order_if_finite(sig: Signature, chi: Fraction, good: bool) -> int:
-    """Order of the orbifold fundamental group of a reduced signature, chi > 0.
+def bad_list_orders(sig: Signature) -> tuple[int, ...] | None:
+    """Cone orders of the sphere that a bad ``sig`` is or doubles to, else None.
 
-    Good spherical signatures have order 2/chi.  The bad cases read off
-    the presentation: a single cone collapses to the trivial group; two
-    cones of different orders p, q give a cyclic group of order gcd(p, q).
+    The bad list: a sphere with one cone or two cones of different orders,
+    or a mirror disk with one corner or two corners of different orders,
+    whose corners become the cones of its doubled sphere.
     """
-    if not sig.is_reduced:
-        raise PreconditionError("group order needs a closed orientable cone-only signature")
+    if not sig.orientable or sig.genus or sig.punctures:
+        return None
+    if not sig.boundary:
+        orders = sig.cones
+    elif len(sig.boundary) == 1 and sig.boundary[0].kind == MIRROR and not sig.cones:
+        orders = sig.boundary[0].corners
+    else:
+        return None
+    return orders if len(orders) == 1 or (len(orders) == 2 and orders[0] != orders[1]) else None
+
+
+def group_order_if_finite(sig: Signature, chi: Fraction, good: bool) -> int:
+    """Order of the orbifold fundamental group of any signature with chi > 0.
+
+    A good signature has order 2/chi, or 1/chi when it has an end (a
+    puncture or a manifold circle).  A bad one is on the bad list: the
+    teardrop's group is trivial and the spindle (p, q) has order gcd(p, q);
+    a bad mirror disk has twice the order of its double, so r(p) gives 2
+    and r(p, q) gives 2 gcd(p, q).
+    """
     if chi <= 0:
         raise PreconditionError("group order is defined only for chi > 0")
     if good:
-        order = Fraction(2) / chi
+        order = Fraction(1 if sig.punctures or sig.manifold_circle_count else 2) / chi
         if order.denominator != 1:
             raise InternalInconsistencyError(
-                f"good spherical signature {sig} has non-integral 2/chi = {order}"
+                f"good signature {sig} has non-integral order {order}"
             )
         return int(order)
-    if len(sig.cones) == 1:
-        return 1
-    if len(sig.cones) == 2:
-        return gcd(sig.cones[0], sig.cones[1])
-    raise InternalInconsistencyError(f"{sig} is not in the bad list")
+    orders = bad_list_orders(sig)
+    if orders is None:
+        raise InternalInconsistencyError(f"{sig} is not in the bad list")
+    base = gcd(*orders) if len(orders) == 2 else 1
+    return 2 * base if sig.boundary else base
 
 
 def render_presentation(p: Presentation) -> str:

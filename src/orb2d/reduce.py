@@ -43,10 +43,22 @@ class Relationship(str, Enum):
     SUBORBIFOLD_OF_DOUBLE = "SuborbifoldOfDouble"
 
 
+_RELATIONSHIP = {
+    StepKind.ORIENTATION_DOUBLE: Relationship.TWO_SHEETED_ORBIFOLD_COVER,
+    StepKind.MIRROR_DOUBLE: Relationship.TWO_SHEETED_ORBIFOLD_COVER,
+    StepKind.END_CUT: Relationship.SAME_ORBIFOLD_RECOMPACTIFIED,
+    StepKind.MANIFOLD_DOUBLE: Relationship.SUBORBIFOLD_OF_DOUBLE,
+}
+
+
 class ReductionStep(NamedTuple):
     kind: StepKind
     result: Signature
-    relationship: Relationship
+
+    @property
+    def relationship(self) -> Relationship:
+        """How the result relates to the step's input, fixed by the kind."""
+        return _RELATIONSHIP[self.kind]
 
 
 class ReductionTrace(NamedTuple):
@@ -56,10 +68,6 @@ class ReductionTrace(NamedTuple):
     @property
     def final(self) -> Signature:
         return self.steps[-1].result if self.steps else self.start
-
-    def inputs(self) -> tuple[Signature, ...]:
-        """Input signature of each step, aligned with ``steps``."""
-        return (self.start,) + tuple(s.result for s in self.steps[:-1])
 
 
 def orientation_double(sig: Signature) -> ReductionStep:
@@ -76,7 +84,7 @@ def orientation_double(sig: Signature) -> ReductionStep:
         boundary=tuple(chain.from_iterable((c, c) for c in sig.boundary)),
         cones=tuple(chain.from_iterable((p, p) for p in sig.cones)),
     )
-    return ReductionStep(StepKind.ORIENTATION_DOUBLE, result, Relationship.TWO_SHEETED_ORBIFOLD_COVER)
+    return ReductionStep(StepKind.ORIENTATION_DOUBLE, result)
 
 
 def mirror_double(sig: Signature) -> ReductionStep:
@@ -106,7 +114,7 @@ def mirror_double(sig: Signature) -> ReductionStep:
         boundary=(_M_CIRCLE,) * (2 * manifold_count),
         cones=tuple(cones),
     )
-    return ReductionStep(StepKind.MIRROR_DOUBLE, result, Relationship.TWO_SHEETED_ORBIFOLD_COVER)
+    return ReductionStep(StepKind.MIRROR_DOUBLE, result)
 
 
 def end_cut(sig: Signature) -> ReductionStep:
@@ -120,7 +128,7 @@ def end_cut(sig: Signature) -> ReductionStep:
         boundary=(_M_CIRCLE,) * sig.punctures + sig.boundary,
         cones=sig.cones,
     )
-    return ReductionStep(StepKind.END_CUT, result, Relationship.SAME_ORBIFOLD_RECOMPACTIFIED)
+    return ReductionStep(StepKind.END_CUT, result)
 
 
 def manifold_double(sig: Signature) -> ReductionStep:
@@ -145,7 +153,7 @@ def manifold_double(sig: Signature) -> ReductionStep:
         boundary=(),
         cones=tuple(chain.from_iterable((p, p) for p in sig.cones)),
     )
-    return ReductionStep(StepKind.MANIFOLD_DOUBLE, result, Relationship.SUBORBIFOLD_OF_DOUBLE)
+    return ReductionStep(StepKind.MANIFOLD_DOUBLE, result)
 
 
 def reduce_to_closed(sig: Signature) -> ReductionTrace:

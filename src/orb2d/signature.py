@@ -176,7 +176,8 @@ class _Cursor:
     def read_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # isdecimal, not isdigit: int() rejects superscripts and the like.
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise SignatureSyntaxError("expected an integer", start)

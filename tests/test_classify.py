@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -7,13 +8,40 @@ from hypothesis import given
 from conftest import signatures
 from orb2d.classify import Geometry, classify, is_bad_closed, theorem_check
 from orb2d.group import abelianization, presentation_of_closed
-from orb2d.reduce import reduce_to_closed
+from orb2d.reduce import StepKind, reduce_to_closed
 from orb2d.signature import PreconditionError, orbifold_euler, parse_signature
 from test_acceptance import suite
 
 
 def sig(text):
     return parse_signature(text)
+
+
+def order_along_reduction(s):
+    """Group order of a finite ``s``, propagated back along its reduction.
+
+    The closed end has order 2/chi when good, and is the teardrop (trivial)
+    or the spindle (gcd of its cones) when bad.  Each 2-sheeted cover step
+    doubles the order (index-2 subgroup).  With chi > 0 a manifold double
+    only ever starts from a disk with at most one cone, whose group is
+    cyclic of that cone's order.
+    """
+    trace = reduce_to_closed(s)
+    final = trace.final
+    if is_bad_closed(final):
+        order = gcd(*final.cones) if len(final.cones) == 2 else 1
+    else:
+        two_over_chi = Fraction(2) / orbifold_euler(final)
+        assert two_over_chi.denominator == 1, final
+        order = int(two_over_chi)
+    inputs = (s,) + tuple(step.result for step in trace.steps[:-1])
+    for step, pre in zip(reversed(trace.steps), reversed(inputs)):
+        if step.kind is StepKind.MANIFOLD_DOUBLE:
+            assert pre.genus == 0 and len(pre.boundary) == 1 and len(pre.cones) <= 1, pre
+            order = pre.cones[0] if pre.cones else 1
+        elif step.kind is not StepKind.END_CUT:
+            order *= 2
+    return order
 
 
 class TestBadList:
@@ -100,12 +128,18 @@ class TestClassify:
 
     def test_closed_form_matches_reduction_over_suite(self):
         # The closed-form verdict against the bad list of the reduced
-        # signature, on every acceptance-suite signature (no time bound).
-        total = 0
+        # signature, and the closed-form order of every finite group against
+        # the order propagated back along the reduction, on every
+        # acceptance-suite signature (no time bound).
+        total = finite = 0
         for s in suite():
             total += 1
-            assert classify(s).good == (not is_bad_closed(reduce_to_closed(s).final)), s
-        assert total == 521640
+            c = classify(s)
+            assert c.good == (not is_bad_closed(reduce_to_closed(s).final)), s
+            if c.group_finite:
+                finite += 1
+                assert c.group_order == order_along_reduction(s), s
+        assert (total, finite) == (521640, 72)
 
     @given(signatures(max_genus=2, max_cones=3, max_order=6))
     def test_abelianization_cross_check(self, s):
@@ -128,8 +162,8 @@ class TestClassify:
 
     @given(signatures())
     def test_finite_good_orders_defined(self, s):
-        # With the disk rule for manifold doubles, every finite verdict
-        # comes with a concrete order.
+        # The order is read off the signature, so every finite verdict
+        # comes with a concrete order and no infinite one has an order.
         c = classify(s)
         if c.group_finite:
             assert c.group_order is not None and c.group_order >= 1

@@ -162,7 +162,7 @@ class TestCliCommands:
 
 class TestCliErrors:
     @pytest.mark.parametrize(
-        "text", ["O;g=x", "Q;g=0", "O;cones=2", "O;g=0;cones=1", "N;g=0"]
+        "text", ["O;g=x", "Q;g=0", "O;cones=2", "O;g=0;cones=1", "N;g=0", "O;g=\u00b2"]
     )
     def test_parse_errors_exit_2(self, capsys, text):
         code, out, err = run(capsys, "classify", text)

@@ -209,6 +209,12 @@ class TestGroupOrder:
             ("O;g=0;cones=2", False, 1),
             ("O;g=0;cones=4,6", False, 2),
             ("O;g=0", True, 1),
+            # Not reduced: an end gives 1/chi, a bad mirror disk twice its double.
+            ("O;g=0;bdry=m;cones=5", True, 5),
+            ("O;g=0;pun=1", True, 1),
+            ("N;g=1;cones=3", True, 6),
+            ("O;g=0;bdry=r(4,4)", True, 8),
+            ("O;g=0;bdry=r(2,3)", False, 2),
         ],
     )
     def test_examples(self, text, good, expected):
