@@ -58,7 +58,7 @@ class Classification(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_record(), separators=(", ", ": "))
+        return json.dumps(self.to_record())
 
 
 def is_bad_closed(sig: Signature) -> bool:

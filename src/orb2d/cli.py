@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each handler in :data:`COMMANDS` maps a signature to its JSON record and its
+text lines; :func:`main` prints one of them, so a failing command prints
+nothing on stdout.
+
 Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 internal
 consistency failure (a check of the program's own result failed: a
 theorem_check violation in catalog generation, a Smith form, a group order,
@@ -8,6 +12,7 @@ or a search-produced cover witness).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -23,7 +28,6 @@ from .group import (
 from .reduce import reduce_to_closed
 from .signature import (
     PreconditionError,
-    Signature,
     SignatureSyntaxError,
     SignatureValueError,
     format_signature,
@@ -40,134 +44,90 @@ def _rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _trace_records(trace) -> list[dict]:
-    return [
-        {
-            "step_kind": step.kind.value,
-            "relationship": step.relationship.value,
-            "signature": format_signature(step.result),
-            "euler": _rational(orbifold_euler(step.result)),
-        }
-        for step in trace.steps
-    ]
+def _classify(sig, args):
+    record = classify(sig).to_record()
+    return record, [json.dumps(record)]
 
 
-def _cmd_classify(sig: Signature, fmt: str) -> int:
-    print(classify(sig).to_json())
-    return 0
-
-
-def _cmd_euler(sig: Signature, fmt: str) -> int:
+def _euler(sig, args):
     chi = _rational(orbifold_euler(sig))
-    if fmt == "json":
-        print(json.dumps({"sig": format_signature(sig), "euler": chi}))
-    else:
-        print(chi)
-    return 0
+    return {"sig": format_signature(sig), "euler": chi}, [chi]
 
 
-def _cmd_reduce(sig: Signature, fmt: str) -> int:
+def _reduce(sig, args):
     trace = reduce_to_closed(sig)
-    records = _trace_records(trace)
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "start": format_signature(sig),
-                    "start_euler": _rational(orbifold_euler(sig)),
-                    "steps": records,
-                    "final": format_signature(trace.final),
-                }
-            )
-        )
-    else:
-        print(f"start {format_signature(sig)} euler={_rational(orbifold_euler(sig))}")
-        for record in records:
-            print(
-                f"{record['step_kind']} {record['relationship']} "
-                f"{record['signature']} euler={record['euler']}"
-            )
-    return 0
+    record = {
+        "start": format_signature(sig),
+        "start_euler": _rational(orbifold_euler(sig)),
+        "steps": [
+            {
+                "step_kind": step.kind.value,
+                "relationship": step.relationship.value,
+                "signature": format_signature(step.result),
+                "euler": _rational(orbifold_euler(step.result)),
+            }
+            for step in trace.steps
+        ],
+        "final": format_signature(trace.final),
+    }
+    lines = [f"start {record['start']} euler={record['start_euler']}"]
+    lines.extend(
+        f"{s['step_kind']} {s['relationship']} {s['signature']} euler={s['euler']}"
+        for s in record["steps"]
+    )
+    return record, lines
 
 
-def _reduced_with_note(sig: Signature, fmt: str) -> Signature:
+def _reduced(sig):
+    """The closed form of ``sig``, its JSON record and the text note on it."""
     trace = reduce_to_closed(sig)
-    if trace.steps and fmt != "json":
-        print(
-            f"# reduced {format_signature(sig)} -> {format_signature(trace.final)} "
-            f"({len(trace.steps)} steps)"
-        )
-    return trace.final
+    record = {"sig": format_signature(sig), "reduced": format_signature(trace.final)}
+    note = f"# reduced {record['sig']} -> {record['reduced']} ({len(trace.steps)} steps)"
+    return trace.final, record, [note] if trace.steps else []
 
 
-def _cmd_pi1(sig: Signature, fmt: str) -> int:
-    reduced = _reduced_with_note(sig, fmt)
-    presentation = presentation_of_closed(reduced)
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "sig": format_signature(sig),
-                    "reduced": format_signature(reduced),
-                    "presentation": render_presentation(presentation),
-                }
-            )
-        )
-    else:
-        print(render_presentation(presentation))
-    return 0
+def _pi1(sig, args):
+    reduced, record, lines = _reduced(sig)
+    record["presentation"] = render_presentation(presentation_of_closed(reduced))
+    return record, lines + [record["presentation"]]
 
 
-def _cmd_abel(sig: Signature, fmt: str) -> int:
-    reduced = _reduced_with_note(sig, fmt)
+def _abel(sig, args):
+    reduced, record, lines = _reduced(sig)
     invariants = abelianization(presentation_of_closed(reduced))
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "sig": format_signature(sig),
-                    "reduced": format_signature(reduced),
-                    "free_rank": invariants.free_rank,
-                    "torsion": list(invariants.torsion),
-                }
-            )
-        )
+    record["free_rank"] = invariants.free_rank
+    record["torsion"] = list(invariants.torsion)
+    parts = [f"Z^{invariants.free_rank}"] if invariants.free_rank else []
+    parts.extend(f"Z/{d}" for d in invariants.torsion)
+    return record, lines + [" + ".join(parts) if parts else "0"]
+
+
+def _cover(sig, args):
+    reduced, record, lines = _reduced(sig)
+    witness = manifold_cover_search(reduced, args.max_degree)
+    schedule = degree_schedule(reduced, args.max_degree)
+    record["witness"] = witness.to_record() if witness else None
+    record["degrees_tried"] = schedule
+    if witness is not None:
+        lines.append(json.dumps(record["witness"]))
+    elif schedule:
+        lines += ["none", "tried degrees: " + ", ".join(map(str, schedule))]
     else:
-        parts = []
-        if invariants.free_rank:
-            parts.append(f"Z^{invariants.free_rank}")
-        parts.extend(f"Z/{d}" for d in invariants.torsion)
-        print(" + ".join(parts) if parts else "0")
-    return 0
+        lines += ["none", f"no feasible degrees <= {args.max_degree}"]
+    return record, lines
 
 
-def _cmd_cover(sig: Signature, fmt: str, max_degree: int) -> int:
-    reduced = _reduced_with_note(sig, fmt)
-    witness = manifold_cover_search(reduced, max_degree)
-    schedule = degree_schedule(reduced, max_degree)
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "sig": format_signature(sig),
-                    "reduced": format_signature(reduced),
-                    "witness": witness.to_record() if witness else None,
-                    "degrees_tried": schedule,
-                }
-            )
-        )
-    elif witness is not None:
-        print(json.dumps(witness.to_record()))
-    else:
-        print("none")
-        if schedule:
-            print("tried degrees: " + ", ".join(map(str, schedule)))
-        else:
-            print(f"no feasible degrees <= {max_degree}")
-    return 0
+COMMANDS = {
+    "classify": _classify,
+    "euler": _euler,
+    "pi1": _pi1,
+    "abel": _abel,
+    "reduce": _reduce,
+    "cover": _cover,
+}
 
 
-def _cmd_catalog(args) -> int:
+def _catalog(args) -> int:
     bounds = CatalogBounds(
         max_genus=args.max_genus,
         max_cones=args.max_cones,
@@ -178,13 +138,10 @@ def _cmd_catalog(args) -> int:
         orientable_only=args.orientable_only,
     )
     records, summary = catalog_records(bounds)
-    lines = [json.dumps(r, separators=(", ", ": ")) for r in records]
-    if args.out and args.out != "-":
-        with open(args.out, "w") as handle:
-            handle.write("\n".join(lines) + ("\n" if lines else ""))
-    else:
-        for line in lines:
-            print(line)
+    to_file = args.out and args.out != "-"
+    with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
+        for record in records:
+            out.write(json.dumps(record) + "\n")
     print(
         "total={total} good={good} bad={bad} finite={finite} infinite={infinite}".format(
             **summary
@@ -194,20 +151,20 @@ def _cmd_catalog(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orb2d", description="Classify finite-type 2-orbifold signatures."
+    # --format goes before or after the subcommand. It has no default, so a
+    # subcommand without it keeps the earlier value; main reads "text" if neither.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
+        "--format", choices=("json", "text"), default=argparse.SUPPRESS, help="output format"
     )
-    parser.add_argument(
-        "--format", choices=("json", "text"), default=None, help="output format"
+    parser = argparse.ArgumentParser(
+        prog="orb2d", description="Classify finite-type 2-orbifold signatures.", parents=[fmt]
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("classify", "euler", "pi1", "abel", "reduce"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("signature")
-    cover = sub.add_parser("cover")
-    cover.add_argument("signature")
-    cover.add_argument("--max-degree", type=int, default=12)
-    catalog = sub.add_parser("catalog")
+    for name in COMMANDS:
+        sub.add_parser(name, parents=[fmt]).add_argument("signature")
+    sub.choices["cover"].add_argument("--max-degree", type=int, default=12)
+    catalog = sub.add_parser("catalog", parents=[fmt])
     catalog.add_argument("--max-genus", type=int, default=0)
     catalog.add_argument("--max-cones", type=int, default=0)
     catalog.add_argument("--max-order", type=int, default=2)
@@ -221,24 +178,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    fmt = args.format or ("json" if args.command == "catalog" else "text")
     try:
         if args.command == "catalog":
-            return _cmd_catalog(args)
-        sig = parse_signature(args.signature)
-        if args.command == "classify":
-            return _cmd_classify(sig, fmt)
-        if args.command == "euler":
-            return _cmd_euler(sig, fmt)
-        if args.command == "reduce":
-            return _cmd_reduce(sig, fmt)
-        if args.command == "pi1":
-            return _cmd_pi1(sig, fmt)
-        if args.command == "abel":
-            return _cmd_abel(sig, fmt)
-        if args.command == "cover":
-            return _cmd_cover(sig, fmt, args.max_degree)
-        raise AssertionError(args.command)
+            return _catalog(args)
+        record, lines = COMMANDS[args.command](parse_signature(args.signature), args)
     except (SignatureSyntaxError, SignatureValueError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -248,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInconsistencyError as err:
         print(f"internal consistency failure: {err}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    fmt = getattr(args, "format", "text")
+    print(json.dumps(record) if fmt == "json" else "\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

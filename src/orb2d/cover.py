@@ -242,7 +242,7 @@ class _Search:
                 stack.append((gen, tail, head))
         return True
 
-    def _scan(self, alpha: int) -> tuple[int, int, int, int] | bool:
+    def _scan(self, alpha: int) -> tuple[int, int, int] | bool:
         """Scan the long relator from alpha.
 
         Returns True (consistent), False (contradiction), or a deduced
@@ -272,7 +272,7 @@ class _Search:
             return f == b
         if j == i:
             gen, sign = word[i]
-            return (gen, f, b, 0) if sign > 0 else (gen, b, f, 0)
+            return (gen, f, b) if sign > 0 else (gen, b, f)
         return True
 
     def _propagate(self) -> bool:
@@ -287,7 +287,7 @@ class _Search:
                     continue
                 if result is False:
                     return False
-                gen, p, q, _ = result
+                gen, p, q = result
                 if not self._assign(gen, p, q):
                     return False
                 changed = True

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orb2d.catalog import CatalogBounds, catalog_records, circle_types, enumerate_signatures
 from orb2d.cli import EXIT_INCONSISTENT, EXIT_PARSE, EXIT_PRECONDITION, main
@@ -67,6 +71,8 @@ class TestCliCommands:
         assert code == 0 and out.strip() == "1/30"
         code, out, _ = run(capsys, "--format", "json", "euler", "O;g=1")
         assert json.loads(out) == {"sig": "O;g=1", "euler": "0/1"}
+        code, out, _ = run(capsys, "euler", "O;g=1", "--format", "json")
+        assert code == 0 and json.loads(out) == {"sig": "O;g=1", "euler": "0/1"}
 
     def test_reduce_json_trace(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "reduce", "N;g=1;bdry=r(4)")
@@ -172,6 +178,10 @@ class TestCliErrors:
         # A cover search with a nonsensical bound violates a precondition.
         code, _, err = run(capsys, "cover", "O;g=1", "--max-degree", "0")
         assert code == EXIT_PRECONDITION and err.startswith("precondition violated:")
+        # An input that is reduced first still prints nothing on stdout.
+        code, out, err = run(capsys, "cover", "O;g=0;pun=1;cones=2,2", "--max-degree", "0")
+        assert code == EXIT_PRECONDITION and out == ""
+        assert err.startswith("precondition violated:")
 
     def test_invalid_witness_exit_4(self, capsys, monkeypatch):
         import orb2d.cover as cover
@@ -180,3 +190,47 @@ class TestCliErrors:
         code, out, err = run(capsys, "cover", "O;g=0;cones=2,4,4")
         assert code == EXIT_INCONSISTENT and not out
         assert err.startswith("internal consistency failure:") and "Traceback" not in err
+
+
+# Texts over the signature grammar: token soup (grammar tokens, spaces and
+# integers 0-40), and fields with well-formed or soup values after an
+# orientation, so that some texts parse and reach each command. An integer
+# token is never followed by another, which would spell a larger integer.
+_INT = st.integers(0, 40).map(str)
+_GRAMMAR = ["O", "N", ";", "g=", "pun=", "cones=", "bdry=", "m", "r(", ")", ",", " "]
+_TOKENS = st.tuples(st.sampled_from(_GRAMMAR), st.one_of(st.just(""), _INT)).map("".join)
+_SOUP = st.lists(_TOKENS, max_size=10).map("".join)
+_CIRCLE = st.one_of(st.just("m"), st.lists(_INT, max_size=2).map(lambda c: f"r({','.join(c)})"))
+_FIELD = st.one_of(
+    _INT.map("pun={}".format),
+    st.lists(_INT, min_size=1, max_size=3).map(lambda c: "cones=" + ",".join(c)),
+    st.lists(_CIRCLE, min_size=1, max_size=2).map(lambda b: "bdry=" + ",".join(b)),
+    st.builds("{}={}".format, st.sampled_from(["g", "pun", "cones", "bdry"]), _SOUP),
+)
+_TEXTS = st.one_of(
+    _SOUP,
+    st.builds(
+        lambda head, g, fields: ";".join([head, "g=" + g, *fields]),
+        st.sampled_from(["O", "N"]),
+        _INT,
+        st.lists(_FIELD, max_size=3, unique_by=lambda field: field.split("=")[0]),
+    ),
+)
+
+
+class TestCliFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=_TEXTS,
+        command=st.sampled_from(["classify", "euler", "reduce", "pi1", "abel"]),
+        as_json=st.booleans(),
+    )
+    def test_defined_outcome(self, text, command, as_json):
+        argv = (["--format", "json"] if as_json else []) + [command, text]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, EXIT_PARSE, EXIT_PRECONDITION)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert out.getvalue() == ""
