@@ -7,10 +7,11 @@ length exactly p (so every local group injects trivially upstairs).
 
 The search is depth-first backtracking over partial permutation tables,
 assigning cone generators first and handle generators after, with three
-prunings: exact-cycle-length propagation, relator scanning (partial
-products of the long relator), and introduction of new points in
-increasing order (symmetry breaking, which also makes the search
-deterministic).
+prunings: exact-cycle-length propagation, a Felsch-style deduction queue
+(each new table entry rescans only the rotations of the long relator that
+begin with it; Sims, *Computation with Finitely Presented Groups*, 1994),
+and introduction of new points in increasing order (symmetry breaking,
+which also makes the search deterministic).
 """
 from __future__ import annotations
 
@@ -22,6 +23,10 @@ from .group import InternalInconsistencyError
 from .signature import PreconditionError, Signature, orbifold_euler
 
 Perm = tuple[int, ...]
+
+# Largest max_degree that manifold_cover_search accepts: far above any degree
+# whose search finishes, and small enough to list the degree schedule.
+MAX_DEGREE = 10_000
 
 
 def identity(n: int) -> Perm:
@@ -188,82 +193,85 @@ class _Search:
             word += [(a, 1), (b, 1), (a, -1), (b, -1)]
         word += [(i, 1) for i in range(self.k)]
         self.word = word
-        # Trail of (gen, p, q) assignments plus introduced points, for undo.
-        self.trail: list[tuple[str, int, int, int]] = []
+        # Tables for the relator written out twice, so that the rotation that
+        # begins at letter r is letters r .. r + len(word) - 1: crossing
+        # letter i forwards reads fwd[i], backwards bwd[i] (img for a
+        # generator, pre for its inverse).
+        doubled = word + word
+        self.fwd = [self.img[gen] if sign > 0 else self.pre[gen] for gen, sign in doubled]
+        self.bwd = [self.pre[gen] if sign > 0 else self.img[gen] for gen, sign in doubled]
+        # Rotations that begin with each generator, and with its inverse.
+        self.starts = [[r for r, letter in enumerate(word) if letter == (g, 1)]
+                       for g in range(self.ngens)]
+        self.inverse_starts = [[r for r, letter in enumerate(word) if letter == (g, -1)]
+                               for g in range(self.ngens)]
+        # Deduction queue: entries (gen, p) set since the last fixed point;
+        # _undo empties it when an attempt fails.
+        self.queue: list[tuple[int, int]] = []
+        # Trail for undo: (gen, p, q) for an assignment, (-1, point, 0) for
+        # an introduced point.
+        self.trail: list[tuple[int, int, int]] = []
 
     def _touch(self, point: int) -> None:
         if not self.introduced[point]:
             self.introduced[point] = True
-            self.trail.append(("intro", point, 0, 0))
+            self.trail.append((-1, point, 0))
 
     def _assign(self, gen: int, p: int, q: int) -> bool:
-        """Set img[gen][p] = q plus forced cycle closures; False on clash."""
-        stack = [(gen, p, q)]
-        while stack:
-            gen, p, q = stack.pop()
-            if self.img[gen][p] == q:
-                continue
-            if self.img[gen][p] != -1 or self.pre[gen][q] != -1:
+        """Set img[gen][p] = q plus the forced cycle closure; False on clash."""
+        row, inv, m = self.img[gen], self.pre[gen], self.orders[gen]
+        while True:
+            if row[p] != -1 or inv[q] != -1:
                 return False
-            self.img[gen][p] = q
-            self.pre[gen][q] = p
-            self.trail.append(("img", gen, p, q))
+            row[p] = q
+            inv[q] = p
+            self.trail.append((gen, p, q))
+            self.queue.append((gen, p))
             self._touch(p)
             self._touch(q)
-            m = self.orders[gen]
             if m == 0:
-                continue
+                return True
             # Exact cycle length m: measure the chain through p -> q.
             if p == q:
-                closed, points = True, 1
-            else:
-                points = 2
-                node = q
-                closed = False
-                while (nxt := self.img[gen][node]) != -1:
-                    if nxt == p:
-                        closed = True
-                        break
-                    node = nxt
-                    points += 1
-                tail = node
-                if not closed:
-                    node = p
-                    while (prv := self.pre[gen][node]) != -1:
-                        node = prv
-                        points += 1
-                    head = node
-            if closed:
-                if points != m:
-                    return False
-            elif points > m:
-                return False
-            elif points == m:
-                stack.append((gen, tail, head))
-        return True
+                return m == 1
+            points = 2
+            node = q
+            while (nxt := row[node]) != -1:
+                if nxt == p:
+                    return points == m
+                node = nxt
+                points += 1
+            tail = node
+            node = p
+            while (prv := inv[node]) != -1:
+                node = prv
+                points += 1
+            if points != m:
+                return points < m
+            # A chain of m points must close into a cycle.
+            p, q = tail, node
 
-    def _scan(self, alpha: int) -> tuple[int, int, int] | bool:
-        """Scan the long relator from alpha.
+    def _scan(self, alpha: int, start: int = 0) -> tuple[int, int, int] | bool:
+        """Scan from alpha the rotation of the long relator that begins at
+        letter ``start``.
 
         Returns True (consistent), False (contradiction), or a deduced
         assignment (gen, p, q).
         """
-        word = self.word
-        length = len(word)
-        f, i = alpha, 0
-        while i < length:
-            gen, sign = word[i]
-            nxt = self.img[gen][f] if sign > 0 else self.pre[gen][f]
+        fwd, bwd = self.fwd, self.bwd
+        end = start + len(self.word)
+        f, i = alpha, start
+        while i < end:
+            nxt = fwd[i][f]
             if nxt == -1:
                 break
             f = nxt
             i += 1
-        if i == length:
+        if i == end:
             return f == alpha
-        b, j = alpha, length - 1
+        b, j = alpha, end - 1
         while j >= i:
-            gen, sign = word[j]
-            prv = self.pre[gen][b] if sign > 0 else self.img[gen][b]
+            prv = bwd[j][b]
             if prv == -1:
                 break
             b = prv
@@ -271,26 +279,30 @@ class _Search:
         if j < i:
             return f == b
         if j == i:
-            gen, sign = word[i]
+            gen, sign = self.word[i % len(self.word)]
             return (gen, f, b) if sign > 0 else (gen, b, f)
         return True
 
     def _propagate(self) -> bool:
-        if not self.word:
-            return True
-        changed = True
-        while changed:
-            changed = False
-            for alpha in range(self.n):
-                result = self._scan(alpha)
-                if result is True:
-                    continue
-                if result is False:
-                    return False
-                gen, p, q = result
-                if not self._assign(gen, p, q):
-                    return False
-                changed = True
+        """Scan the rotations through each queued entry until none is left.
+
+        A scan can only change when an entry on its path is set, and the
+        rotations through a new entry img[gen][p] = q are those that begin
+        with gen, scanned from p, and with gen^-1, scanned from q.  So an
+        empty queue is the fixed point of rescanning every rotation from
+        every point; False means a contradiction.
+        """
+        queue = self.queue
+        while queue:
+            gen, p = queue.pop()
+            q = self.img[gen][p]
+            for alpha, starts in ((p, self.starts[gen]), (q, self.inverse_starts[gen])):
+                for r in starts:
+                    result = self._scan(alpha, r)
+                    if result is True:
+                        continue
+                    if result is False or not self._assign(*result):
+                        return False
         return True
 
     def _next_slot(self) -> tuple[int, int] | None:
@@ -302,13 +314,15 @@ class _Search:
         return None
 
     def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            kind, a, b, c = self.trail.pop()
-            if kind == "img":
-                self.img[a][b] = -1
-                self.pre[a][c] = -1
+        self.queue.clear()
+        trail = self.trail
+        while len(trail) > mark:
+            gen, p, q = trail.pop()
+            if gen < 0:
+                self.introduced[p] = False
             else:
-                self.introduced[a] = False
+                self.img[gen][p] = -1
+                self.pre[gen][q] = -1
 
     def run(self) -> list[Perm] | None:
         slot = self._next_slot()
@@ -364,10 +378,12 @@ def manifold_cover_search(sig: Signature, max_degree: int) -> CoverWitness | Non
 
     Returns the witness of minimal degree found under the canonical
     search order, or None if no feasible degree up to max_degree admits
-    one.
+    one.  max_degree must be between 1 and MAX_DEGREE.
     """
     if max_degree < 1:
         raise PreconditionError("max_degree must be at least 1")
+    if max_degree > MAX_DEGREE:
+        raise PreconditionError(f"max_degree must be at most {MAX_DEGREE}")
     for n in degree_schedule(sig, max_degree):
         witness = search_at_degree(sig, n)
         if witness is not None:

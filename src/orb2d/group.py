@@ -6,8 +6,11 @@ p_1, ..., p_k the group is
     < a_1, b_1, ..., a_g, b_g, x_1, ..., x_k |
       x_j^{p_j}  (j = 1..k),  [a_1,b_1]...[a_g,b_g] x_1 ... x_k >
 
-Its abelianization is computed from the Smith normal form of the relator
-exponent matrix; all integer arithmetic is arbitrary precision.
+Its abelianization is computed from the Smith normal form of the live
+block of the relator exponent matrix: generator columns that no relator
+uses (the handle generators, whose exponents cancel in the commutators)
+are free summands, and zero rows are dropped, so the block does not grow
+with the genus.  All integer arithmetic is arbitrary precision.
 """
 from __future__ import annotations
 
@@ -238,14 +241,20 @@ def _check_smith(m: IntegerMatrix, form: SmithForm) -> None:
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    """Invariant factors of the abelianized group, via Smith normal form."""
+    """Invariant factors of the abelianized group, via Smith normal form.
+
+    Only the live block goes through the Smith form: a generator column
+    that is zero in every relator is a free summand, and an all-zero
+    relator row says nothing, so both are dropped first.
+    """
     matrix = relation_matrix(p)
-    if matrix.cols == 0:
-        return AbelianInvariants(0, ())
-    if matrix.rows == 0:
-        return AbelianInvariants(matrix.cols, ())
-    diagonal = smith_normal_form(matrix).diagonal
-    free_rank = matrix.cols - len(diagonal) + sum(1 for d in diagonal if d == 0)
+    live_cols = [j for j in range(matrix.cols) if any(row[j] for row in matrix)]
+    free_rank = matrix.cols - len(live_cols)
+    if not live_cols:
+        return AbelianInvariants(free_rank, ())
+    block = IntegerMatrix([[row[j] for j in live_cols] for row in matrix if any(row)])
+    diagonal = smith_normal_form(block).diagonal
+    free_rank += block.cols - len(diagonal) + sum(1 for d in diagonal if d == 0)
     torsion = tuple(d for d in diagonal if d > 1)
     return AbelianInvariants(free_rank, torsion)
 

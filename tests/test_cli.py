@@ -99,6 +99,13 @@ class TestCliCommands:
         assert run(capsys, "abel", "O;g=0")[1].strip() == "0"
         assert run(capsys, "abel", "O;g=0;cones=2,2,2,2")[1].strip() == "Z/2 + Z/2 + Z/2"
 
+    def test_abel_large_genus_and_many_cones(self, capsys):
+        # Its closed form has genus 6,295 and 16 cones; the whole relation
+        # matrix would be 17 x 12,606.
+        code, out, _ = run(capsys, "abel", "N;g=27;cones=29,29,18,7;pun=3122")
+        assert code == 0
+        assert out.splitlines()[-1] == "Z^12590 + Z/29 + Z/29 + Z/29 + Z/29 + Z/3654 + Z/3654 + Z/3654"
+
     def test_cover_witness_output(self, capsys):
         code, out, _ = run(capsys, "cover", "O;g=0;cones=2,2,2,2")
         record = json.loads(out)
@@ -182,6 +189,11 @@ class TestCliErrors:
         code, out, err = run(capsys, "cover", "O;g=0;pun=1;cones=2,2", "--max-degree", "0")
         assert code == EXIT_PRECONDITION and out == ""
         assert err.startswith("precondition violated:")
+
+    def test_max_degree_ceiling_exit_3(self, capsys):
+        code, out, err = run(capsys, "cover", "O;g=1", "--max-degree", "1000000000000")
+        assert code == EXIT_PRECONDITION and out == ""
+        assert err.startswith("precondition violated:") and "Traceback" not in err
 
     def test_invalid_witness_exit_4(self, capsys, monkeypatch):
         import orb2d.cover as cover

@@ -1,11 +1,14 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from orb2d.cover import (
+    MAX_DEGREE,
     CoverWitness,
     VerifyResult,
+    _Search,
     compose,
     cycles,
     degree_schedule,
@@ -148,6 +151,67 @@ class TestSearch:
             cover_chi = witness.degree * orbifold_euler(s)
             assert cover_chi == 2 - 2 * witness.cover_genus
             assert cover_chi.denominator == 1 and int(cover_chi) % 2 == 0
+
+    def test_max_degree_ceiling(self):
+        assert manifold_cover_search(sig("O;g=1"), MAX_DEGREE).degree == 1
+        with pytest.raises(PreconditionError):
+            manifold_cover_search(sig("O;g=1"), MAX_DEGREE + 1)
+
+
+def assert_fixed_point(search):
+    """Every rotation of the long relator scans as consistent from every point."""
+    for alpha in range(search.n):
+        for start in range(len(search.word)):
+            assert search._scan(alpha, start) is True, (alpha, start)
+
+
+class TestDeductionQueue:
+    @pytest.mark.parametrize(
+        "text,degree,found",
+        [
+            ("O;g=0;cones=2,4,5", 40, True),
+            ("O;g=0;cones=2,5,5", 10, False),
+            ("O;g=1;cones=2", 6, False),
+            ("O;g=1;cones=6", 6, False),
+            ("O;g=2;cones=2,2", 2, True),
+        ],
+    )
+    def test_search_propagations_reach_the_fixed_point(self, monkeypatch, text, degree, found):
+        propagate = _Search._propagate
+        fixed_points = []
+
+        def checked(search):
+            ok = propagate(search)
+            if ok:
+                assert_fixed_point(search)
+                fixed_points.append(search.n)
+            return ok
+
+        monkeypatch.setattr(_Search, "_propagate", checked)
+        assert (search_at_degree(sig(text), degree) is not None) == found
+        assert fixed_points
+
+    @pytest.mark.parametrize("text,degree", [("O;g=1", 4), ("O;g=1;cones=2", 4), ("O;g=2;cones=2,2", 4)])
+    def test_any_assignment_order_reaches_the_fixed_point(self, text, degree):
+        # The search fills one generator after another, and once only the
+        # last handle generator is open the rotations that begin with it
+        # deduce everything.  Filling slots in random order also needs the
+        # rotations that begin with an inverse generator.
+        rng = random.Random(6)
+        fixed_points = 0
+        for _ in range(300):
+            search = _Search(sig(text), degree)
+            slots = [(gen, p) for gen in range(search.ngens) for p in range(degree)]
+            rng.shuffle(slots)
+            for gen, p in slots:
+                if search.img[gen][p] != -1:
+                    continue
+                free = [q for q in range(degree) if search.pre[gen][q] == -1]
+                if not (search._assign(gen, p, rng.choice(free)) and search._propagate()):
+                    break
+                assert_fixed_point(search)
+                fixed_points += 1
+        assert fixed_points > 300
 
 
 class TestVerifyWitness:

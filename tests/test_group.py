@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from orb2d.catalog import CatalogBounds, enumerate_signatures
 from orb2d.group import (
     AbelianInvariants,
     IntegerMatrix,
     InternalInconsistencyError,
+    Presentation,
     abelianization,
     group_order_if_finite,
     presentation_of_closed,
@@ -198,6 +200,58 @@ class TestAbelianization:
                 key = (inv.free_rank, len(inv.torsion))
                 assert key >= previous
                 previous = key
+
+
+# The acceptance suite's closed orientable cone-only population.
+CONE_BOUNDS = CatalogBounds(max_genus=2, max_cones=4, max_order=6, orientable_only=True)
+
+
+def whole_matrix_abelianization(p):
+    """Oracle: the Smith form of the whole relation matrix, zero rows and columns included."""
+    matrix = relation_matrix(p)
+    if matrix.cols == 0:
+        return AbelianInvariants(0, ())
+    if matrix.rows == 0:
+        return AbelianInvariants(matrix.cols, ())
+    diagonal = smith_normal_form(matrix).diagonal
+    free_rank = matrix.cols - len(diagonal) + sum(1 for d in diagonal if d == 0)
+    return AbelianInvariants(free_rank, tuple(d for d in diagonal if d > 1))
+
+
+class TestLiveBlock:
+    def test_matches_whole_matrix_over_cone_bounds(self):
+        count = 0
+        for s in enumerate_signatures(CONE_BOUNDS):
+            p = presentation_of_closed(s)
+            assert abelianization(p) == whole_matrix_abelianization(p), str(s)
+            count += 1
+        assert count == 378
+
+    def test_zero_column_in_the_middle_and_zero_row(self):
+        # Columns a1, b1, x1, x2: b1 is in no relator, and a1 a1^-1 is a zero row.
+        p = Presentation(
+            1,
+            (("x1", 4), ("x2", 6)),
+            (
+                (("a1", 1), ("a1", 1), ("x1", 1), ("x1", 1)),
+                (("a1", 1), ("a1", -1)),
+                (("x1", 1),) * 4,
+                (("x2", 1),) * 6 + (("x1", 1), ("x1", 1)),
+            ),
+        )
+        assert list(relation_matrix(p)) == [(2, 0, 2, 0), (0, 0, 0, 0), (0, 0, 4, 0), (0, 0, 2, 6)]
+        assert abelianization(p) == AbelianInvariants(1, (2, 2, 12))
+        assert abelianization(p) == whole_matrix_abelianization(p)
+
+    def test_block_does_not_grow_with_genus(self, monkeypatch):
+        import orb2d.group as group
+
+        shapes = []
+        snf = group.smith_normal_form
+        monkeypatch.setattr(group, "smith_normal_form", lambda m: shapes.append((m.rows, m.cols)) or snf(m))
+        inv = abelianization(presentation_of_closed(sig("O;g=1000;cones=2,3,5,7")))
+        assert inv == AbelianInvariants(2000, ())
+        assert shapes == [(5, 4)]
 
 
 class TestGroupOrder:
