@@ -39,6 +39,10 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_INCONSISTENT = 4
 
+# Genus and punctures are the counts the text does not bound; reduce, pi1, abel
+# and cover, whose work and output grow with them, refuse a larger sum.
+MAX_GENUS_PLUS_PUNCTURES = 100_000
+
 
 def _rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
@@ -54,8 +58,14 @@ def _euler(sig, args):
     return {"sig": format_signature(sig), "euler": chi}, [chi]
 
 
+def _reduce_bounded(sig):
+    if sig.genus + sig.punctures > MAX_GENUS_PLUS_PUNCTURES:
+        raise PreconditionError(f"genus + punctures must be at most {MAX_GENUS_PLUS_PUNCTURES}")
+    return reduce_to_closed(sig)
+
+
 def _reduce(sig, args):
-    trace = reduce_to_closed(sig)
+    trace = _reduce_bounded(sig)
     record = {
         "start": format_signature(sig),
         "start_euler": _rational(orbifold_euler(sig)),
@@ -80,7 +90,7 @@ def _reduce(sig, args):
 
 def _reduced(sig):
     """The closed form of ``sig``, its JSON record and the text note on it."""
-    trace = reduce_to_closed(sig)
+    trace = _reduce_bounded(sig)
     record = {"sig": format_signature(sig), "reduced": format_signature(trace.final)}
     note = f"# reduced {record['sig']} -> {record['reduced']} ({len(trace.steps)} steps)"
     return trace.final, record, [note] if trace.steps else []

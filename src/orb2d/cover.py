@@ -7,11 +7,17 @@ length exactly p (so every local group injects trivially upstairs).
 
 The search is depth-first backtracking over partial permutation tables,
 assigning cone generators first and handle generators after, with three
-prunings: exact-cycle-length propagation, a Felsch-style deduction queue
-(each new table entry rescans only the rotations of the long relator that
-begin with it; Sims, *Computation with Finitely Presented Groups*, 1994),
-and introduction of new points in increasing order (symmetry breaking,
-which also makes the search deterministic).
+prunings: exact-cycle-length propagation, Felsch-style deduction (each new
+table entry rescans only the rotations of the long relator that begin with
+it; Sims, *Computation with Finitely Presented Groups*, 1994), and
+introduction of new points in increasing order (symmetry breaking, which
+also makes the search deterministic).
+
+The search state is the tables, one trail of the entries set in them and
+an explicit stack of open branches, so Python's recursion limit does not
+bound the depth.  The trail past its head is the deduction queue, and
+backtracking truncates it.  New points come in increasing order, so the
+points in use are a prefix, which each branch counts.
 """
 from __future__ import annotations
 
@@ -179,19 +185,17 @@ class _Search:
 
     def __init__(self, sig: Signature, n: int):
         self.n = n
-        self.k = len(sig.cones)
-        self.g = sig.genus
+        k, g = len(sig.cones), sig.genus
         # Generators: cones first (their orders), then a_j, b_j (order 0 = free).
-        self.orders = list(sig.cones) + [0] * (2 * self.g)
+        self.orders = list(sig.cones) + [0] * (2 * g)
         self.ngens = len(self.orders)
         self.img = [[-1] * n for _ in range(self.ngens)]
         self.pre = [[-1] * n for _ in range(self.ngens)]
-        self.introduced = [False] * n
         word: list[tuple[int, int]] = []
-        for j in range(self.g):
-            a, b = self.k + 2 * j, self.k + 2 * j + 1
+        for j in range(g):
+            a, b = k + 2 * j, k + 2 * j + 1
             word += [(a, 1), (b, 1), (a, -1), (b, -1)]
-        word += [(i, 1) for i in range(self.k)]
+        word += [(i, 1) for i in range(k)]
         self.word = word
         # Tables for the relator written out twice, so that the rotation that
         # begins at letter r is letters r .. r + len(word) - 1: crossing
@@ -201,21 +205,14 @@ class _Search:
         self.fwd = [self.img[gen] if sign > 0 else self.pre[gen] for gen, sign in doubled]
         self.bwd = [self.pre[gen] if sign > 0 else self.img[gen] for gen, sign in doubled]
         # Rotations that begin with each generator, and with its inverse.
-        self.starts = [[r for r, letter in enumerate(word) if letter == (g, 1)]
-                       for g in range(self.ngens)]
-        self.inverse_starts = [[r for r, letter in enumerate(word) if letter == (g, -1)]
-                               for g in range(self.ngens)]
-        # Deduction queue: entries (gen, p) set since the last fixed point;
-        # _undo empties it when an attempt fails.
-        self.queue: list[tuple[int, int]] = []
-        # Trail for undo: (gen, p, q) for an assignment, (-1, point, 0) for
-        # an introduced point.
+        self.starts: list[list[int]] = [[] for _ in range(self.ngens)]
+        self.inverse_starts: list[list[int]] = [[] for _ in range(self.ngens)]
+        for r, (gen, sign) in enumerate(word):
+            (self.starts if sign > 0 else self.inverse_starts)[gen].append(r)
+        # Every entry (gen, p, q) set, in order; the entries from head on
+        # are the deduction queue, not yet propagated.
         self.trail: list[tuple[int, int, int]] = []
-
-    def _touch(self, point: int) -> None:
-        if not self.introduced[point]:
-            self.introduced[point] = True
-            self.trail.append((-1, point, 0))
+        self.head = 0
 
     def _assign(self, gen: int, p: int, q: int) -> bool:
         """Set img[gen][p] = q plus the forced cycle closure; False on clash."""
@@ -226,9 +223,6 @@ class _Search:
             row[p] = q
             inv[q] = p
             self.trail.append((gen, p, q))
-            self.queue.append((gen, p))
-            self._touch(p)
-            self._touch(q)
             if m == 0:
                 return True
             # Exact cycle length m: measure the chain through p -> q.
@@ -284,18 +278,18 @@ class _Search:
         return True
 
     def _propagate(self) -> bool:
-        """Scan the rotations through each queued entry until none is left.
+        """Scan the rotations through each trail entry from head on.
 
         A scan can only change when an entry on its path is set, and the
         rotations through a new entry img[gen][p] = q are those that begin
-        with gen, scanned from p, and with gen^-1, scanned from q.  So an
-        empty queue is the fixed point of rescanning every rotation from
-        every point; False means a contradiction.
+        with gen, scanned from p, and with gen^-1, scanned from q.  So head
+        at the end of the trail is the fixed point of rescanning every
+        rotation from every point; False means a contradiction.
         """
-        queue = self.queue
-        while queue:
-            gen, p = queue.pop()
-            q = self.img[gen][p]
+        trail = self.trail
+        while self.head < len(trail):
+            gen, p, q = trail[self.head]
+            self.head += 1
             for alpha, starts in ((p, self.starts[gen]), (q, self.inverse_starts[gen])):
                 for r in starts:
                     result = self._scan(alpha, r)
@@ -314,38 +308,43 @@ class _Search:
         return None
 
     def _undo(self, mark: int) -> None:
-        self.queue.clear()
+        """Clear the entries set since the trail had length mark."""
         trail = self.trail
-        while len(trail) > mark:
-            gen, p, q = trail.pop()
-            if gen < 0:
-                self.introduced[p] = False
-            else:
-                self.img[gen][p] = -1
-                self.pre[gen][q] = -1
+        for gen, p, q in trail[mark:]:
+            self.img[gen][p] = -1
+            self.pre[gen][q] = -1
+        del trail[mark:]
+        self.head = mark
 
     def run(self) -> list[Perm] | None:
-        slot = self._next_slot()
-        if slot is None:
-            perms = [tuple(row) for row in self.img]
-            if _is_transitive(self.n, perms):
+        # A frame [gen, p, used, next q, trail mark] tries images q <= used for
+        # slot (gen, p): the points 0 .. used - 1 in use, and one new point.
+        n, stack, used = self.n, [], 0
+        while True:
+            slot = self._next_slot()
+            if slot is not None:
+                gen, p = slot
+                stack.append([gen, p, max(used, p + 1), 0, len(self.trail)])
+            elif _is_transitive(n, perms := [tuple(row) for row in self.img]):
                 return perms
-            return None
-        gen, p = slot
-        self._touch(p)
-        fresh = next((q for q in range(self.n) if not self.introduced[q]), None)
-        for q in range(self.n):
-            if self.pre[gen][q] != -1:
-                continue
-            if not self.introduced[q] and q != fresh:
-                continue
-            mark = len(self.trail)
-            if self._assign(gen, p, q) and self._propagate():
-                result = self.run()
-                if result is not None:
-                    return result
-            self._undo(mark)
-        return None
+            # Take the next image of the deepest open branch that has one.
+            while stack:
+                gen, p, used, q, mark = frame = stack[-1]
+                self._undo(mark)
+                pre = self.pre[gen]
+                for q in range(q, min(used + 1, n)):
+                    if pre[q] == -1:
+                        if self._assign(gen, p, q) and self._propagate():
+                            break
+                        self._undo(mark)
+                else:
+                    stack.pop()
+                    continue
+                frame[3] = q + 1
+                used = max(used, q + 1)
+                break
+            else:
+                return None
 
 
 def _witness_from_perms(sig: Signature, n: int, perms: list[Perm]) -> CoverWitness:

@@ -195,6 +195,20 @@ class TestCliErrors:
         assert code == EXIT_PRECONDITION and out == ""
         assert err.startswith("precondition violated:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["O;g=10000000", "O;g=0;pun=10000000"])
+    @pytest.mark.parametrize("command", ["reduce", "pi1", "abel", "cover"])
+    def test_size_ceiling_exit_3(self, capsys, command, text):
+        code, out, err = run(capsys, command, text)
+        assert code == EXIT_PRECONDITION and out == ""
+        assert err.startswith("precondition violated:") and "Traceback" not in err
+
+    def test_size_ceiling_counts_genus_plus_punctures(self, capsys):
+        assert run(capsys, "reduce", "N;g=1;pun=99999;bdry=r(),m")[0] == 0
+        assert run(capsys, "reduce", "N;g=1;pun=100000;bdry=r(),m")[0] == EXIT_PRECONDITION
+        # classify and euler take constant time in both counts.
+        assert run(capsys, "classify", "O;g=10000000;pun=10000000")[0] == 0
+        assert run(capsys, "euler", "O;g=10000000;pun=10000000")[0] == 0
+
     def test_invalid_witness_exit_4(self, capsys, monkeypatch):
         import orb2d.cover as cover
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -156,6 +157,14 @@ class TestSearch:
         assert manifold_cover_search(sig("O;g=1"), MAX_DEGREE).degree == 1
         with pytest.raises(PreconditionError):
             manifold_cover_search(sig("O;g=1"), MAX_DEGREE + 1)
+
+    def test_depth_beyond_the_recursion_limit(self):
+        # At degree 1 every one of the 2g handle slots is its own branch, so
+        # the search is deeper than Python's recursion limit.
+        s = sig(f"O;g={sys.getrecursionlimit()}")
+        witness = search_at_degree(s, 1)
+        assert witness is not None and witness.degree == 1
+        assert verify_witness(s, witness).ok
 
 
 def assert_fixed_point(search):
