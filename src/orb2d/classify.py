@@ -15,14 +15,19 @@ the order of its double for a bad mirror disk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .group import bad_list_orders, group_order_if_finite
+from .group import InternalInconsistencyError, bad_list_orders, group_order_if_finite
 from .reduce import reduce_final
-from .signature import PreconditionError, Signature, format_signature, orbifold_euler
+from .signature import (
+    PreconditionError,
+    Signature,
+    format_rational,
+    format_signature,
+    orbifold_euler,
+)
 
 
 class Geometry(str, Enum):
@@ -50,7 +55,7 @@ class Classification(NamedTuple):
         """Serializable record with the fixed field order of the catalog."""
         return {
             "sig": format_signature(self.signature),
-            "euler": f"{self.euler.numerator}/{self.euler.denominator}",
+            "euler": format_rational(self.euler),
             "good": self.good,
             "finite": self.group_finite,
             "order": self.group_order,
@@ -92,68 +97,29 @@ def classify(sig: Signature) -> Classification:
     return Classification(sig, chi, good, finite, order, geometry)
 
 
-@dataclass(frozen=True)
-class ClauseResult:
-    clause: str
-    applicable: bool
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    signature: Signature
-    classification: Classification
-    clauses: tuple[ClauseResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-    def failures(self) -> tuple[ClauseResult, ...]:
-        return tuple(c for c in self.clauses if not c.passed)
-
-
-def theorem_check(sig: Signature) -> TheoremReport:
-    """Consistency clauses the classifier must satisfy on every signature.
+def theorem_check(sig: Signature) -> Classification:
+    """The classification of ``sig``, once it passes the clauses the
+    classifier must satisfy on every signature:
 
     (a) chi <= 0 (infinite group) implies good;
     (b) punctures or manifold boundary imply good (mirror circles are
         excluded: a mirror disk with one corner, or two corners of
         different orders, doubles to a bad closed orbifold);
     (c) good, closed, chi > 0 implies 2/chi is a positive integer.
+
+    A violated clause is a bug, not bad input: it raises
+    :class:`InternalInconsistencyError` naming the signature and the clauses.
     """
     cls = classify(sig)
-    clauses = []
-
-    applicable = cls.euler <= 0
-    clauses.append(
-        ClauseResult(
-            "a:infinite-implies-good",
-            applicable,
-            (not applicable) or cls.good,
-            "chi <= 0 but classified bad" if applicable and not cls.good else "",
+    failed = []
+    if cls.euler <= 0 and not cls.good:
+        failed.append("a:infinite-implies-good")
+    if (sig.punctures > 0 or sig.manifold_circle_count > 0) and not cls.good:
+        failed.append("b:open-or-manifold-bounded-implies-good")
+    if cls.good and sig.is_closed and cls.euler > 0 and (Fraction(2) / cls.euler).denominator != 1:
+        failed.append("c:spherical-order-integral")
+    if failed:
+        raise InternalInconsistencyError(
+            f"theorem check failed for {format_signature(sig)}: {', '.join(failed)}"
         )
-    )
-
-    applicable = sig.punctures > 0 or sig.manifold_circle_count > 0
-    clauses.append(
-        ClauseResult(
-            "b:open-or-manifold-bounded-implies-good",
-            applicable,
-            (not applicable) or cls.good,
-            "open/bounded but classified bad" if applicable and not cls.good else "",
-        )
-    )
-
-    applicable = cls.good and sig.is_closed and cls.euler > 0
-    passed = True
-    detail = ""
-    if applicable:
-        order = Fraction(2) / cls.euler
-        passed = order.denominator == 1 and order > 0
-        if not passed:
-            detail = f"2/chi = {order} is not a positive integer"
-    clauses.append(ClauseResult("c:spherical-order-integral", applicable, passed, detail))
-
-    return TheoremReport(sig, cls, tuple(clauses))
+    return cls

@@ -30,6 +30,7 @@ from .signature import (
     PreconditionError,
     SignatureSyntaxError,
     SignatureValueError,
+    format_rational,
     format_signature,
     orbifold_euler,
     parse_signature,
@@ -39,13 +40,10 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_INCONSISTENT = 4
 
-# Genus and punctures are the counts the text does not bound; reduce, pi1, abel
-# and cover, whose work and output grow with them, refuse a larger sum.
+# A short text can spell a large count. The work and output of reduce, pi1,
+# abel and cover grow with genus + punctures, so they refuse a larger sum; the
+# cone orders are bounded in pi1 and abel by group.MAX_RELATOR_LETTERS.
 MAX_GENUS_PLUS_PUNCTURES = 100_000
-
-
-def _rational(value) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _classify(sig, args):
@@ -54,7 +52,7 @@ def _classify(sig, args):
 
 
 def _euler(sig, args):
-    chi = _rational(orbifold_euler(sig))
+    chi = format_rational(orbifold_euler(sig))
     return {"sig": format_signature(sig), "euler": chi}, [chi]
 
 
@@ -68,13 +66,13 @@ def _reduce(sig, args):
     trace = _reduce_bounded(sig)
     record = {
         "start": format_signature(sig),
-        "start_euler": _rational(orbifold_euler(sig)),
+        "start_euler": format_rational(orbifold_euler(sig)),
         "steps": [
             {
                 "step_kind": step.kind.value,
                 "relationship": step.relationship.value,
                 "signature": format_signature(step.result),
-                "euler": _rational(orbifold_euler(step.result)),
+                "euler": format_rational(orbifold_euler(step.result)),
             }
             for step in trace.steps
         ],

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .group import InternalInconsistencyError
-from .signature import PreconditionError, Signature, orbifold_euler
+from .signature import PreconditionError, Signature, format_rational, orbifold_euler
 
 Perm = tuple[int, ...]
 
@@ -87,7 +87,7 @@ class CoverWitness:
             "degree": self.degree,
             "handles": [[cycles(a), cycles(b)] for a, b in self.handle_images],
             "cones": [cycles(x) for x in self.cone_images],
-            "cover_euler": f"{self.cover_euler.numerator}/{self.cover_euler.denominator}",
+            "cover_euler": format_rational(self.cover_euler),
             "cover_genus": self.cover_genus,
         }
 

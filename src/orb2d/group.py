@@ -22,6 +22,10 @@ from .signature import MIRROR, PreconditionError, Signature
 
 Word = tuple[tuple[str, int], ...]
 
+# presentation_of_closed spells each relator x^p as p letters, so it refuses
+# a presentation with more letters than this: 4g + k + the sum of the orders.
+MAX_RELATOR_LETTERS = 10_000_000
+
 
 class InternalInconsistencyError(RuntimeError):
     """A computed value contradicts a structural guarantee; a bug, not input."""
@@ -79,6 +83,9 @@ def presentation_of_closed(sig: Signature) -> Presentation:
     if not sig.is_reduced:
         raise PreconditionError("presentation needs a closed orientable cone-only signature")
     g, cones = sig.genus, sig.cones
+    # The count itself is left out of the message: it may be too long to print.
+    if 4 * g + len(cones) + sum(cones) > MAX_RELATOR_LETTERS:
+        raise PreconditionError(f"a presentation may have at most {MAX_RELATOR_LETTERS} letters")
     cone_gens = tuple((f"x{j + 1}", p) for j, p in enumerate(cones))
     relators: list[Word] = [((name, 1),) * p for name, p in cone_gens]
     long_relator: list[tuple[str, int]] = []

@@ -14,6 +14,7 @@ lexicographically minimal rotation.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -146,6 +147,19 @@ def orbifold_euler(sig: Signature) -> Fraction:
             num = num * 2 * n + (n - 1) * den
             den *= 2 * n
     return Fraction(underlying_euler(sig) * den - num, den)
+
+
+def format_rational(value: Fraction) -> str:
+    """``numerator/denominator`` text, with the denominator always written.
+
+    An interpreter that caps the digits of an integer it converts to text
+    raises ValueError past the cap; that is refused as a precondition.
+    """
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"a rational with over {limit} digits cannot be printed") from None
 
 
 _GRAMMAR_FIELDS = ("g", "pun", "cones", "bdry")

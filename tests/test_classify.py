@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ from hypothesis import given
 
 from conftest import signatures
 from orb2d.classify import Geometry, classify, is_bad_closed, theorem_check
-from orb2d.group import abelianization, presentation_of_closed
+from orb2d.group import InternalInconsistencyError, abelianization, presentation_of_closed
 from orb2d.reduce import StepKind, reduce_to_closed
 from orb2d.signature import PreconditionError, orbifold_euler, parse_signature
 from test_acceptance import suite
@@ -191,19 +192,29 @@ class TestTheoremCheck:
         "text", ["O;g=0;cones=2,2,2,2", "O;g=0;pun=2", "O;g=0;cones=9", "N;g=1", "O;g=2"]
     )
     def test_representative_examples_pass(self, text):
-        assert theorem_check(sig(text)).ok
-
-    def test_clause_applicability(self):
-        report = theorem_check(sig("O;g=0;cones=9"))
-        by_name = {c.clause: c for c in report.clauses}
-        assert not by_name["a:infinite-implies-good"].applicable
-        assert not by_name["b:open-or-manifold-bounded-implies-good"].applicable
+        assert theorem_check(sig(text)) == classify(sig(text))
 
     @given(signatures())
     def test_always_consistent(self, s):
         # Any failure would be an implementation bug.
-        report = theorem_check(s)
-        assert report.ok, report.failures()
+        assert theorem_check(s) == classify(s)
+
+    @pytest.mark.parametrize(
+        "text,good,clause",
+        [
+            ("O;g=1", False, "a:infinite-implies-good"),
+            ("O;g=0;pun=1", False, "b:open-or-manifold-bounded-implies-good"),
+            # chi = 5/6, so 2/chi = 12/5 is not an integer.
+            ("O;g=0;cones=2,3", True, "c:spherical-order-integral"),
+        ],
+    )
+    def test_violated_clause_raises(self, monkeypatch, text, good, clause):
+        # The package attribute orb2d.classify is the function, not the module.
+        module = sys.modules["orb2d.classify"]
+        monkeypatch.setattr(module, "classify", lambda s: classify(s)._replace(good=good))
+        with pytest.raises(InternalInconsistencyError) as info:
+            theorem_check(sig(text))
+        assert str(info.value) == f"theorem check failed for {text}: {clause}"
 
     def test_spherical_integrality_not_a_badness_test(self):
         # 2/chi can be integral for a bad orbifold: cones (3, 6).

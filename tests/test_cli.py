@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -216,6 +217,39 @@ class TestCliErrors:
         code, out, err = run(capsys, "cover", "O;g=0;cones=2,4,4")
         assert code == EXIT_INCONSISTENT and not out
         assert err.startswith("internal consistency failure:") and "Traceback" not in err
+
+    def test_theorem_check_failure_exit_4(self, capsys, monkeypatch):
+        # The package attribute orb2d.classify is the function, not the module.
+        module = sys.modules["orb2d.classify"]
+        classify = module.classify
+        monkeypatch.setattr(module, "classify", lambda s: classify(s)._replace(good=False))
+        argv = ["--max-genus", "1", "--max-cones", "2", "--max-order", "3", "--orientable-only"]
+        code, out, err = run(capsys, "catalog", *argv)
+        assert (code, out) == (EXIT_INCONSISTENT, "")
+        assert err == (
+            "internal consistency failure: theorem check failed for O;g=1: a:infinite-implies-good\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["O;g=0;cones=2,10000000", pytest.param("O;g=0;cones=" + "9" * 4000, id="4000-digit-cone")],
+    )
+    @pytest.mark.parametrize("command", ["pi1", "abel"])
+    def test_relator_letter_ceiling_exit_3(self, capsys, command, text):
+        code, out, err = run(capsys, command, text)
+        assert code == EXIT_PRECONDITION and out == ""
+        assert err.startswith("precondition violated:") and "Traceback" not in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter prints integers of any length",
+    )
+    @pytest.mark.parametrize("command", ["classify", "euler", "reduce"])
+    def test_unprintable_euler_exit_3(self, capsys, command):
+        # chi = 1/p + 1/q, whose denominator has about 8,000 digits.
+        code, out, err = run(capsys, command, f"O;g=0;cones={'9' * 4000},{'9' * 3999}8")
+        assert code == EXIT_PRECONDITION and out == ""
+        assert err.startswith("precondition violated:") and "Traceback" not in err
 
 
 # Texts over the signature grammar: token soup (grammar tokens, spaces and

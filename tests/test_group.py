@@ -56,6 +56,12 @@ class TestPresentation:
         with pytest.raises(PreconditionError):
             presentation_of_closed(sig(text))
 
+    @pytest.mark.parametrize("text", ["O;g=0;cones=2,9999997", "O;g=2499999;cones=4"])
+    def test_refuses_past_letter_ceiling(self, text):
+        # One letter past MAX_RELATOR_LETTERS: 4g + k + the sum of the orders.
+        with pytest.raises(PreconditionError):
+            presentation_of_closed(sig(text))
+
     def test_rendering(self):
         assert render_presentation(presentation_of_closed(sig("O;g=1"))) == "<a1,b1 | [a1,b1]>"
         assert (
