@@ -27,6 +27,7 @@ from .signature import (
     format_rational,
     format_signature,
     orbifold_euler,
+    printable_integer,
 )
 
 
@@ -58,7 +59,7 @@ class Classification(NamedTuple):
             "euler": format_rational(self.euler),
             "good": self.good,
             "finite": self.group_finite,
-            "order": self.group_order,
+            "order": None if self.group_order is None else printable_integer(self.group_order),
             "geometry": self.geometry.value,
         }
 

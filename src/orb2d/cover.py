@@ -6,18 +6,25 @@ group in which every cone generator of order p acts with all cycles of
 length exactly p (so every local group injects trivially upstairs).
 
 The search is depth-first backtracking over partial permutation tables,
-assigning cone generators first and handle generators after, with three
+assigning cone generators first and handle generators after, with four
 prunings: exact-cycle-length propagation, Felsch-style deduction (each new
 table entry rescans only the rotations of the long relator that begin with
-it; Sims, *Computation with Finitely Presented Groups*, 1994), and
+it; Sims, *Computation with Finitely Presented Groups*, 1994),
 introduction of new points in increasing order (symmetry breaking, which
-also makes the search deterministic).
+also makes the search deterministic), and the same rule for the cycles of
+the first cone generator: once it is filled, its cycles are blocks of
+consecutive points, and of the blocks that no other generator touches
+only the first is tried, since a permutation commuting with it carries
+any of them there.  A skipped branch is conjugate to an earlier sibling,
+so the first witness found, and every refutation, is the same as without
+these two rules.
 
 The search state is the tables, one trail of the entries set in them and
 an explicit stack of open branches, so Python's recursion limit does not
 bound the depth.  The trail past its head is the deduction queue, and
 backtracking truncates it.  New points come in increasing order, so the
-points in use are a prefix, which each branch counts.
+points in use are a prefix, which each branch counts (in whole blocks once
+the first cone generator is filled).
 """
 from __future__ import annotations
 
@@ -319,12 +326,26 @@ class _Search:
     def run(self) -> list[Perm] | None:
         # A frame [gen, p, used, next q, trail mark] tries images q <= used for
         # slot (gen, p): the points 0 .. used - 1 in use, and one new point.
+        # Once the first cone x_1 of order m is full, its cycles are the
+        # blocks of m consecutive points, and a permutation that commutes
+        # with x_1 and fixes every entry of the other generators can swap
+        # or rotate the blocks those entries do not touch.  So from then on
+        # used is the end of the touched blocks (deductions follow chains
+        # from touched points, and x_1 keeps to its blocks, so they are a
+        # prefix), and the new point is the first of the next block.
         n, stack, used = self.n, [], 0
+        m = self.orders[0] if self.orders and self.orders[0] else 1
         while True:
             slot = self._next_slot()
             if slot is not None:
                 gen, p = slot
-                stack.append([gen, p, max(used, p + 1), 0, len(self.trail)])
+                block = m if gen else 1
+                if gen and m > 1 and stack[-1][0] == 0:
+                    # The first slot after x_1: count the blocks touched by
+                    # deductions made while x_1 was being filled.
+                    touched = [x for g, a, b in self.trail if g for x in (a, b)]
+                    used = (max(touched) // m + 1) * m if touched else 0
+                stack.append([gen, p, max(used, (p // block + 1) * block), 0, len(self.trail)])
             elif _is_transitive(n, perms := [tuple(row) for row in self.img]):
                 return perms
             # Take the next image of the deepest open branch that has one.
@@ -341,7 +362,8 @@ class _Search:
                     stack.pop()
                     continue
                 frame[3] = q + 1
-                used = max(used, q + 1)
+                block = m if gen else 1
+                used = max(used, (q // block + 1) * block)
                 break
             else:
                 return None

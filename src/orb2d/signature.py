@@ -158,8 +158,22 @@ def format_rational(value: Fraction) -> str:
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise PreconditionError(f"a rational with over {limit} digits cannot be printed") from None
+        raise _unprintable("a rational") from None
+
+
+def printable_integer(value: int) -> int:
+    """``value`` itself, once it is known to convert to text; past the
+    interpreter's digit cap it is refused as in :func:`format_rational`."""
+    try:
+        str(value)
+    except ValueError:
+        raise _unprintable("an integer") from None
+    return value
+
+
+def _unprintable(what: str) -> PreconditionError:
+    limit = sys.get_int_max_str_digits()
+    return PreconditionError(f"{what} with over {limit} digits cannot be printed")
 
 
 _GRAMMAR_FIELDS = ("g", "pun", "cones", "bdry")

@@ -251,6 +251,17 @@ class TestCliErrors:
         assert code == EXIT_PRECONDITION and out == ""
         assert err.startswith("precondition violated:") and "Traceback" not in err
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter prints integers of any length",
+    )
+    @pytest.mark.parametrize("text", ["O;g=0;cones=2,2,", "N;g=1;cones="])
+    def test_unprintable_group_order_exit_3(self, capsys, text):
+        # chi = 1/n still prints, but the order 2n has 4,301 digits.
+        code, out, err = run(capsys, "classify", text + "9" * 4300)
+        assert code == EXIT_PRECONDITION and out == ""
+        assert err.startswith("precondition violated:") and "Traceback" not in err
+
 
 # Texts over the signature grammar: token soup (grammar tokens, spaces and
 # integers 0-40), and fields with well-formed or soup values after an

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 import sys
 from dataclasses import replace
@@ -9,6 +12,7 @@ from orb2d.cover import (
     MAX_DEGREE,
     CoverWitness,
     VerifyResult,
+    _is_transitive,
     _Search,
     compose,
     cycles,
@@ -164,6 +168,120 @@ class TestSearch:
         s = sig(f"O;g={sys.getrecursionlimit()}")
         witness = search_at_degree(s, 1)
         assert witness is not None and witness.degree == 1
+        assert verify_witness(s, witness).ok
+
+
+def is_uniform(p, order):
+    return all(len(c) == order for c in cycles(p, include_fixed=True))
+
+
+def uniform_perms(n, order):
+    return [p for p in itertools.permutations(range(n)) if is_uniform(p, order)]
+
+
+def brute_force_has_witness(s, n):
+    """Whether any transitive representation of degree n has uniform cone
+    cycle types: every choice of handle images and of all cone images but
+    the last, with the last cone the inverse of their product."""
+    k = 2 * s.genus
+    choices = [list(itertools.permutations(range(n)))] * k
+    choices += [uniform_perms(n, order) for order in s.cones[:-1]]
+    for picks in itertools.product(*choices):
+        prod = identity(n)
+        for a, b in zip(picks[0:k:2], picks[1:k:2]):
+            for factor in (a, b, inverse(a), inverse(b)):
+                prod = compose(prod, factor)
+        for x in picks[k:]:
+            prod = compose(prod, x)
+        if s.cones:
+            last = inverse(prod)
+            if not is_uniform(last, s.cones[-1]):
+                continue
+            picks += (last,)
+        elif prod != identity(n):
+            continue
+        if _is_transitive(n, list(picks)):
+            return True
+    return False
+
+
+class TestSearchAgainstBruteForce:
+    def test_pruning_loses_no_witness(self):
+        # Genus 0 up to degree 6, genus 1 up to 4 and genus 2 up to 3, with
+        # every multiset of up to 4 cone orders in 2..6 dividing the degree.
+        cases = []
+        for genus, top in ((0, 6), (1, 4), (2, 3)):
+            for n in range(1, top + 1):
+                orders = [p for p in range(2, 7) if n % p == 0]
+                for size in range(5):
+                    for cones in itertools.combinations_with_replacement(orders, size):
+                        field = ";cones=" + ",".join(map(str, cones)) if cones else ""
+                        cases.append((sig(f"O;g={genus}{field}"), n))
+        assert len(cases) == 103
+        mismatches = []
+        for s, n in cases:
+            if (search_at_degree(s, n) is not None) != brute_force_has_witness(s, n):
+                mismatches.append((s, n))
+        assert mismatches == []
+
+
+# perfbench's cover_certify ladder, copied so that the tests do not import
+# the benchmark.
+CERTIFY_LADDER = (
+    "O;g=0;cones=2,2,2,2",
+    "O;g=0;cones=3,3,3",
+    "O;g=0;cones=2,4,4",
+    "O;g=0;cones=2,3,6",
+    "O;g=0;cones=2,2,3",
+    "O;g=1",
+    "O;g=1;cones=2",
+    "O;g=0;cones=2,5,5",
+    "O;g=0;cones=3,3,4",
+    "O;g=0;cones=2,3,4",
+    "O;g=0;cones=3,4,4",
+    "O;g=0;cones=3,3,7",
+    "O;g=0;cones=4,5,5",
+    "O;g=0;cones=2,3,10",
+    "O;g=0;cones=2,3,12",
+    "O;g=0;cones=2,5,6",
+    "O;g=0;cones=2,7,7",
+    "O;g=0;cones=2,4,10",
+    "O;g=0;cones=3,6,9",
+    "O;g=0;cones=2,9,9",
+    "O;g=0;cones=3,3,8",
+    "O;g=0;cones=2,3,14",
+    "O;g=0;cones=2,6,8",
+    "O;g=0;cones=2,4,5",
+    "O;g=0;cones=2,6,10",
+)
+
+
+class TestPinnedWitnesses:
+    def test_certify_ladder_witnesses_unchanged(self):
+        witnesses = []
+        for text in CERTIFY_LADDER:
+            s = sig(text)
+            witnesses.append(manifold_cover_search(s, degree_schedule(s, 64)[0]))
+        digest = hashlib.sha256(json.dumps([w.to_record() for w in witnesses]).encode()).hexdigest()
+        assert digest == "ff4e230521d15551b56ae148db981549107c1ab3f48e4eb161921994478ab192"
+
+    @pytest.mark.parametrize(
+        "text,degree",
+        [
+            ("O;g=0;cones=2,3,5", 30),
+            ("O;g=0;cones=2,2,2,4", 12),
+            ("O;g=0;cones=2,6,6", 18),
+            ("O;g=0;cones=2,4,6", 12),
+        ],
+    )
+    def test_refutations_that_finish(self, text, degree):
+        assert search_at_degree(sig(text), degree) is None
+
+    @pytest.mark.parametrize("text,degree", [("O;g=0;cones=2,3,7", 84), ("O;g=0;cones=2,3,8", 48)])
+    def test_triangle_witnesses_in_reach(self, text, degree):
+        s = sig(text)
+        witness = search_at_degree(s, degree)
+        assert witness is not None and witness.degree == degree
         assert verify_witness(s, witness).ok
 
 
