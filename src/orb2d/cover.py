@@ -17,7 +17,11 @@ consecutive points, and of the blocks that no other generator touches
 only the first is tried, since a permutation commuting with it carries
 any of them there.  A skipped branch is conjugate to an earlier sibling,
 so the first witness found, and every refutation, is the same as without
-these two rules.
+these two rules.  Two more tests cut branches that hold no witness: at
+each handle slot, an orbit of 0 that the set entries already close, short
+of all n points (no completion is transitive), and at the first slot of
+the last handle generator b, an a that is not conjugate to T a, where T
+is the rest of the relator (no b solves a b a^-1 b^-1 T = 1).
 
 The search state is the tables, one trail of the entries set in them and
 an explicit stack of open branches, so Python's recursion limit does not
@@ -75,6 +79,10 @@ def cycles(p: Perm, include_fixed: bool = False) -> list[list[int]]:
         if len(cyc) > 1 or include_fixed:
             out.append(cyc)
     return out
+
+
+def _cycle_type(p: Perm) -> list[int]:
+    return sorted(map(len, cycles(p, include_fixed=True)))
 
 
 def _uniform_cycle_length(p: Perm, length: int) -> bool:
@@ -216,6 +224,9 @@ class _Search:
         self.inverse_starts: list[list[int]] = [[] for _ in range(self.ngens)]
         for r, (gen, sign) in enumerate(word):
             (self.starts if sign > 0 else self.inverse_starts)[gen].append(r)
+        # The letters x_1 .. x_k [a_1, b_1] .. [a_{g-1}, b_{g-1}] a_g of the
+        # doubled word, whose product is T a in _dead_end.
+        self.ta_tables = self.fwd[4 * g : len(word) + 4 * g - 3]
         # Every entry (gen, p, q) set, in order; the entries from head on
         # are the deduction queue, not yet propagated.
         self.trail: list[tuple[int, int, int]] = []
@@ -252,38 +263,6 @@ class _Search:
             # A chain of m points must close into a cycle.
             p, q = tail, node
 
-    def _scan(self, alpha: int, start: int = 0) -> tuple[int, int, int] | bool:
-        """Scan from alpha the rotation of the long relator that begins at
-        letter ``start``.
-
-        Returns True (consistent), False (contradiction), or a deduced
-        assignment (gen, p, q).
-        """
-        fwd, bwd = self.fwd, self.bwd
-        end = start + len(self.word)
-        f, i = alpha, start
-        while i < end:
-            nxt = fwd[i][f]
-            if nxt == -1:
-                break
-            f = nxt
-            i += 1
-        if i == end:
-            return f == alpha
-        b, j = alpha, end - 1
-        while j >= i:
-            prv = bwd[j][b]
-            if prv == -1:
-                break
-            b = prv
-            j -= 1
-        if j < i:
-            return f == b
-        if j == i:
-            gen, sign = self.word[i % len(self.word)]
-            return (gen, f, b) if sign > 0 else (gen, b, f)
-        return True
-
     def _propagate(self) -> bool:
         """Scan the rotations through each trail entry from head on.
 
@@ -292,27 +271,88 @@ class _Search:
         with gen, scanned from p, and with gen^-1, scanned from q.  So head
         at the end of the trail is the fixed point of rescanning every
         rotation from every point; False means a contradiction.
+
+        A scan from alpha of the rotation that begins at letter r reads
+        forwards from r and backwards from r + len(word) - 1 as far as the
+        tables go.  If the two ends meet, the rotation must close at alpha;
+        if they are one letter apart, that letter's entry is deduced.
         """
-        trail = self.trail
+        trail, fwd, bwd, word = self.trail, self.fwd, self.bwd, self.word
+        length = len(word)
         while self.head < len(trail):
             gen, p, q = trail[self.head]
             self.head += 1
             for alpha, starts in ((p, self.starts[gen]), (q, self.inverse_starts[gen])):
-                for r in starts:
-                    result = self._scan(alpha, r)
-                    if result is True:
+                for start in starts:
+                    end = start + length
+                    f, i = alpha, start
+                    while i < end:
+                        nxt = fwd[i][f]
+                        if nxt == -1:
+                            break
+                        f = nxt
+                        i += 1
+                    else:
+                        if f != alpha:
+                            return False
                         continue
-                    if result is False or not self._assign(*result):
-                        return False
+                    b, j = alpha, end - 1
+                    while j > i:
+                        prv = bwd[j][b]
+                        if prv == -1:
+                            break
+                        b = prv
+                        j -= 1
+                    else:
+                        letter, sign = word[i % length]
+                        if not (self._assign(letter, f, b) if sign > 0 else self._assign(letter, b, f)):
+                            return False
         return True
 
-    def _next_slot(self) -> tuple[int, int] | None:
-        for gen in range(self.ngens):
+    def _next_slot(self, gen: int, p: int) -> tuple[int, int] | None:
+        """The first open slot from (gen, p) on; every earlier one is full."""
+        for gen in range(gen, self.ngens):
             row = self.img[gen]
-            for p in range(self.n):
+            for p in range(p, self.n):
                 if row[p] == -1:
                     return gen, p
+            p = 0
         return None
+
+    def _dead_end(self, gen: int, top_gen: int) -> bool:
+        """Whether no witness completes the tables, at an open slot of gen
+        reached from a frame of top_gen; tested at handle slots only.
+
+        When top_gen is not the last handle generator b = b_g but gen is,
+        every other table is full.  The relator read from a = a_g is
+        a b a^-1 b^-1 T = 1, with T = x_1 ... x_k [a_1, b_1] ...
+        [a_{g-1}, b_{g-1}], so b a^-1 b^-1 = (T a)^-1: some b exists if and
+        only if a and T a have the same cycle type.
+
+        And if the points reachable from 0 through the set entries are
+        closed under every generator but fewer than n, every completion
+        keeps them invariant, so none is transitive.
+        """
+        if self.orders[gen]:
+            return False
+        if gen == self.ngens - 1 and top_gen != gen:
+            ta = list(range(self.n))
+            for row in self.ta_tables:
+                ta = [row[x] for x in ta]
+            if _cycle_type(self.img[gen - 1]) != _cycle_type(ta):
+                return True
+        seen, frontier = {0}, [0]
+        while frontier:
+            p = frontier.pop()
+            # The later generators have fewer entries set: read them first.
+            for row in reversed(self.img):
+                q = row[p]
+                if q == -1:
+                    return False
+                if q not in seen:
+                    seen.add(q)
+                    frontier.append(q)
+        return len(seen) < self.n
 
     def _undo(self, mark: int) -> None:
         """Clear the entries set since the trail had length mark."""
@@ -336,18 +376,21 @@ class _Search:
         n, stack, used = self.n, [], 0
         m = self.orders[0] if self.orders and self.orders[0] else 1
         while True:
-            slot = self._next_slot()
-            if slot is not None:
+            # Every slot before the deepest frame's is full.
+            top_gen, top_p = stack[-1][:2] if stack else (0, 0)
+            slot = self._next_slot(top_gen, top_p)
+            if slot is None:
+                if _is_transitive(n, perms := [tuple(row) for row in self.img]):
+                    return perms
+            elif not self._dead_end(slot[0], top_gen):
                 gen, p = slot
                 block = m if gen else 1
-                if gen and m > 1 and stack[-1][0] == 0:
+                if gen and m > 1 and top_gen == 0:
                     # The first slot after x_1: count the blocks touched by
                     # deductions made while x_1 was being filled.
                     touched = [x for g, a, b in self.trail if g for x in (a, b)]
                     used = (max(touched) // m + 1) * m if touched else 0
                 stack.append([gen, p, max(used, (p // block + 1) * block), 0, len(self.trail)])
-            elif _is_transitive(n, perms := [tuple(row) for row in self.img]):
-                return perms
             # Take the next image of the deepest open branch that has one.
             while stack:
                 gen, p, used, q, mark = frame = stack[-1]

@@ -13,6 +13,7 @@ from orb2d.cover import (
     CoverWitness,
     VerifyResult,
     _is_transitive,
+    _cycle_type,
     _Search,
     compose,
     cycles,
@@ -205,10 +206,20 @@ def brute_force_has_witness(s, n):
     return False
 
 
+def commutator_times(a, b, t):
+    """a b a^-1 b^-1 t, composed left to right as the search reads it."""
+    prod = a
+    for factor in (b, inverse(a), inverse(b), t):
+        prod = compose(prod, factor)
+    return prod
+
+
 class TestSearchAgainstBruteForce:
     def test_pruning_loses_no_witness(self):
         # Genus 0 up to degree 6, genus 1 up to 4 and genus 2 up to 3, with
-        # every multiset of up to 4 cone orders in 2..6 dividing the degree.
+        # every multiset of up to 4 cone orders in 2..6 dividing the degree;
+        # and genus 1 at degree 5 with at most one cone, where the last
+        # handle's cycle-type cut fires.
         cases = []
         for genus, top in ((0, 6), (1, 4), (2, 3)):
             for n in range(1, top + 1):
@@ -217,12 +228,55 @@ class TestSearchAgainstBruteForce:
                     for cones in itertools.combinations_with_replacement(orders, size):
                         field = ";cones=" + ",".join(map(str, cones)) if cones else ""
                         cases.append((sig(f"O;g={genus}{field}"), n))
-        assert len(cases) == 103
+        cases += [(sig("O;g=1"), 5), (sig("O;g=1;cones=5"), 5)]
+        assert len(cases) == 105
         mismatches = []
         for s, n in cases:
             if (search_at_degree(s, n) is not None) != brute_force_has_witness(s, n):
                 mismatches.append((s, n))
         assert mismatches == []
+
+
+class TestHandleSlotCuts:
+    def test_cycle_type_criterion_over_s4(self):
+        # Some b solves a b a^-1 b^-1 T = 1 exactly when a and T a have the
+        # same cycle type, for every a and T in S_4.
+        perms = list(itertools.permutations(range(4)))
+        fired = 0
+        for a in perms:
+            for t in perms:
+                exists = any(commutator_times(a, b, t) == identity(4) for b in perms)
+                fits = _cycle_type(a) == _cycle_type(compose(t, a))
+                assert exists == fits, (a, t)
+                fired += not fits
+        assert 0 < fired < len(perms) ** 2
+
+    def test_dead_end_at_the_last_handle(self):
+        # Fill every table but b_2's at random; the search's cut must say
+        # "dead end" exactly when no b_2 in S_4 satisfies the relator.
+        rng = random.Random(10)
+        perms = list(itertools.permutations(range(4)))
+        outcomes = set()
+        for _ in range(100):
+            search = _Search(sig("O;g=2;cones=2,2"), 4)
+            x1, x2, a1, b1, a2 = (rng.choice(perms) for _ in range(5))
+            for gen, perm in enumerate((x1, x2, a1, b1, a2)):
+                search.img[gen][:] = perm
+                search.pre[gen][:] = inverse(perm)
+            t = compose(compose(x1, x2), commutator_times(a1, b1, identity(4)))
+            exists = any(commutator_times(a2, b, t) == identity(4) for b in perms)
+            assert search._dead_end(5, 4) == (not exists)
+            outcomes.add(exists)
+        assert outcomes == {True, False}
+
+    def test_closed_short_orbit_is_a_dead_end(self):
+        # a = identity and b(0) = 0 close the orbit {0} of a torus at
+        # degree 3, so no completion is transitive; b(0) = 1 leaves it open.
+        for b0, dead in ((0, True), (1, False)):
+            search = _Search(sig("O;g=1"), 3)
+            search.img[0][:] = search.pre[0][:] = [0, 1, 2]
+            assert search._assign(1, 0, b0)
+            assert search._dead_end(1, 1) == dead
 
 
 # perfbench's cover_certify ladder, copied so that the tests do not import
@@ -277,6 +331,19 @@ class TestPinnedWitnesses:
     def test_refutations_that_finish(self, text, degree):
         assert search_at_degree(sig(text), degree) is None
 
+    @pytest.mark.parametrize(
+        "text,degree,digest",
+        [
+            ("O;g=1", 10, "0731337ddec9f80d52dc2a719cac83a14dbbdd18d06c9540e57f824beb206521"),
+            ("O;g=1;cones=2,3", 12, "625cd260b46678d0dc5d46471e5709b9911461d5774371abe5f0abbf89a10cca"),
+        ],
+    )
+    def test_genus_one_witnesses_unchanged(self, text, degree, digest):
+        # The first witnesses in search order with or without the
+        # handle-slot cuts, which skip only branches that hold none.
+        witness = search_at_degree(sig(text), degree)
+        assert hashlib.sha256(json.dumps(witness.to_record()).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("text,degree", [("O;g=0;cones=2,3,7", 84), ("O;g=0;cones=2,3,8", 48)])
     def test_triangle_witnesses_in_reach(self, text, degree):
         s = sig(text)
@@ -285,11 +352,33 @@ class TestPinnedWitnesses:
         assert verify_witness(s, witness).ok
 
 
+def scan_is_consistent(search, alpha, start):
+    """Reference scan of the rotation that begins at letter start, from alpha.
+
+    Reads forwards through search.fwd and backwards through search.bwd as
+    far as the tables go.  A rotation read to the end must close at alpha;
+    a gap of exactly one letter means an entry the search should have
+    deduced, and meeting ends that disagree mean a contradiction.
+    """
+    end = start + len(search.word)
+    f, i = alpha, start
+    while i < end and search.fwd[i][f] != -1:
+        f = search.fwd[i][f]
+        i += 1
+    if i == end:
+        return f == alpha
+    b, j = alpha, end
+    while j > i and search.bwd[j - 1][b] != -1:
+        b = search.bwd[j - 1][b]
+        j -= 1
+    return j - i > 1
+
+
 def assert_fixed_point(search):
     """Every rotation of the long relator scans as consistent from every point."""
     for alpha in range(search.n):
         for start in range(len(search.word)):
-            assert search._scan(alpha, start) is True, (alpha, start)
+            assert scan_is_consistent(search, alpha, start), (alpha, start)
 
 
 class TestDeductionQueue:
