@@ -146,6 +146,11 @@ class TestSearch:
             witness = manifold_cover_search(s, schedule[0])
             assert witness is not None, f"no witness for {s}"
             assert verify_witness(s, witness).ok
+            # The first cone acts as the blocks of m consecutive points.
+            if s.cones:
+                m, n = s.cones[0], witness.degree
+                blocks = [list(range(b, b + m)) for b in range(0, n, m)]
+                assert witness.cone_images[0] == perm_of_cycles(n, blocks)
             checked += 1
         assert checked > 50
 
