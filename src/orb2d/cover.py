@@ -5,30 +5,30 @@ certified by a transitive permutation representation of its fundamental
 group in which every cone generator of order p acts with all cycles of
 length exactly p (so every local group injects trivially upstairs).
 
-The search is depth-first backtracking over partial permutation tables,
-assigning cone generators first and handle generators after, with four
-prunings: exact-cycle-length propagation, Felsch-style deduction (each new
-table entry rescans only the rotations of the long relator that begin with
-it; Sims, *Computation with Finitely Presented Groups*, 1994),
-introduction of new points in increasing order (symmetry breaking, which
-also makes the search deterministic), and the same rule for the cycles of
-the first cone generator: once it is filled, its cycles are blocks of
-consecutive points, and of the blocks that no other generator touches
-only the first is tried, since a permutation commuting with it carries
-any of them there.  A skipped branch is conjugate to an earlier sibling,
-so the first witness found, and every refutation, is the same as without
-these two rules.  Two more tests cut branches that hold no witness: at
-each handle slot, an orbit of 0 that the set entries already close, short
-of all n points (no completion is transitive), and at the first slot of
-the last handle generator b, an a that is not conjugate to T a, where T
-is the rest of the relator (no b solves a b a^-1 b^-1 T = 1).
+The search is depth-first backtracking over partial permutation tables.
+The first cone generator x_1, of order m, is set to the blocks of m
+consecutive points, to which every permutation with all cycles of length
+m is conjugate.  The other cone generators are searched next and the
+handle generators after, with three prunings: exact-cycle-length
+propagation, Felsch-style deduction (each new table entry rescans only
+the rotations of the long relator that begin with it; Sims, *Computation
+with Finitely Presented Groups*, 1994), and new points introduced in
+increasing order, a block at a time: of the blocks that no other
+generator touches only the first is tried, since a permutation commuting
+with x_1 carries any of them there (symmetry breaking, which also makes
+the search deterministic).  A skipped branch is conjugate to an earlier
+sibling, so the first witness found, and every refutation, is the same as
+without these rules.  Two more tests cut branches that hold no witness:
+at each handle slot, an orbit of 0 that the set entries already close,
+short of all n points (no completion is transitive), and at the first
+slot of the last handle generator b, an a that is not conjugate to T a,
+where T is the rest of the relator (no b solves a b a^-1 b^-1 T = 1).
 
 The search state is the tables, one trail of the entries set in them and
 an explicit stack of open branches, so Python's recursion limit does not
 bound the depth.  The trail past its head is the deduction queue, and
-backtracking truncates it.  New points come in increasing order, so the
-points in use are a prefix, which each branch counts (in whole blocks once
-the first cone generator is filled).
+backtracking truncates it.  New points come in whole blocks, so the
+points in use are a prefix, which each branch counts.
 """
 from __future__ import annotations
 
@@ -364,17 +364,22 @@ class _Search:
         self.head = mark
 
     def run(self) -> list[Perm] | None:
-        # A frame [gen, p, used, next q, trail mark] tries images q <= used for
-        # slot (gen, p): the points 0 .. used - 1 in use, and one new point.
-        # Once the first cone x_1 of order m is full, its cycles are the
-        # blocks of m consecutive points, and a permutation that commutes
-        # with x_1 and fixes every entry of the other generators can swap
-        # or rotate the blocks those entries do not touch.  So from then on
-        # used is the end of the touched blocks (deductions follow chains
-        # from touched points, and x_1 keeps to its blocks, so they are a
-        # prefix), and the new point is the first of the next block.
-        n, stack, used = self.n, [], 0
+        # A frame [gen, p, used, next q, trail mark] tries images q <= used
+        # for slot (gen, p): the points 0 .. used - 1 in use, and the first
+        # point of the next block.  The blocks touched by the entries after
+        # x_1 are a prefix (deductions follow chains from touched points, and
+        # x_1 keeps to its blocks), and used is its end.  m is 1 with no cones.
+        n, stack = self.n, []
         m = self.orders[0] if self.orders and self.orders[0] else 1
+        if n % m:
+            return None
+        for p in range(n):
+            if (p + 1) % m:
+                self._assign(0, p, p + 1)  # closes each block
+        if not self._propagate():
+            return None
+        touched = [x for g, a, b in self.trail if g for x in (a, b)]
+        used = (max(touched) // m + 1) * m if touched else 0
         while True:
             # Every slot before the deepest frame's is full.
             top_gen, top_p = stack[-1][:2] if stack else (0, 0)
@@ -384,13 +389,7 @@ class _Search:
                     return perms
             elif not self._dead_end(slot[0], top_gen):
                 gen, p = slot
-                block = m if gen else 1
-                if gen and m > 1 and top_gen == 0:
-                    # The first slot after x_1: count the blocks touched by
-                    # deductions made while x_1 was being filled.
-                    touched = [x for g, a, b in self.trail if g for x in (a, b)]
-                    used = (max(touched) // m + 1) * m if touched else 0
-                stack.append([gen, p, max(used, (p // block + 1) * block), 0, len(self.trail)])
+                stack.append([gen, p, max(used, (p // m + 1) * m), 0, len(self.trail)])
             # Take the next image of the deepest open branch that has one.
             while stack:
                 gen, p, used, q, mark = frame = stack[-1]
@@ -405,8 +404,7 @@ class _Search:
                     stack.pop()
                     continue
                 frame[3] = q + 1
-                block = m if gen else 1
-                used = max(used, (q // block + 1) * block)
+                used = max(used, (q // m + 1) * m)
                 break
             else:
                 return None

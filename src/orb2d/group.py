@@ -109,10 +109,6 @@ def relation_matrix(p: Presentation) -> IntegerMatrix:
     return IntegerMatrix(rows)
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def _det(matrix: list[list[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(matrix)
@@ -145,35 +141,11 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
     nonnegative and dividing the next.  Pivots are chosen by smallest
     nonzero absolute value to bound entry growth.
     """
+    # Reduce [[m, I_r], [I_c, 0]]: an operation on the first r rows carries
+    # left along, and one on the first c columns carries right along.
     r, c = m.rows, m.cols
-    a = [list(row) for row in m]
-    left = _identity(r)
-    right = _identity(c)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + q * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in right:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
+    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(m)]
+    a += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
 
     for t in range(min(r, c)):
         while True:
@@ -187,36 +159,38 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
                         pivot, best = (i, j), v
             if pivot is None:
                 break
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
+            i, j = pivot
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             # Clear row and column t; remainders re-enter the pivot hunt.
             for i in range(t + 1, r):
                 if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
             for j in range(t + 1, c):
                 if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
+                    q = a[t][j] // a[t][t]
+                    for row in a:
+                        row[j] -= q * row[t]
             if any(a[i][t] for i in range(t + 1, r)) or any(a[t][j] for j in range(t + 1, c)):
                 continue
-            # Enforce divisibility into the trailing block.
-            fixed = True
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % a[t][t]:
-                        add_row(t, i, 1)
-                        fixed = False
-                        break
-                if not fixed:
-                    break
-            if fixed:
+            # Enforce divisibility into the trailing block: add the first row
+            # with an entry that the pivot does not divide, and hunt again.
+            failing = (i for i in range(t + 1, r) if any(a[i][j] % a[t][t] for j in range(t + 1, c)))
+            i = next(failing, None)
+            if i is None:
                 break
+            a[t] = [x + y for x, y in zip(a[t], a[i])]
 
     diagonal = tuple(a[i][i] for i in range(min(r, c)))
-    form = SmithForm(diagonal, IntegerMatrix(left), IntegerMatrix(right))
+    left = IntegerMatrix(row[c:] for row in a[:r])
+    right = IntegerMatrix(row[:c] for row in a[r:])
+    form = SmithForm(diagonal, left, right)
     _check_smith(m, form)
     return form
 

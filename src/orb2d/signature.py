@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 MANIFOLD = "m"
 MIRROR = "r"
+
+_Item = TypeVar("_Item")
 
 
 class SignatureSyntaxError(ValueError):
@@ -219,12 +221,12 @@ class _Cursor:
         return self.text[start : self.pos], start
 
 
-def _parse_int_list(cur: _Cursor) -> list[int]:
-    values = [cur.read_int()]
+def _parse_list(cur: _Cursor, read_item: Callable[[_Cursor], _Item]) -> list[_Item]:
+    items = [read_item(cur)]
     while cur.peek() == ",":
         cur.pos += 1
-        values.append(cur.read_int())
-    return values
+        items.append(read_item(cur))
+    return items
 
 
 def _parse_circle(cur: _Cursor) -> BoundaryCircle:
@@ -235,7 +237,7 @@ def _parse_circle(cur: _Cursor) -> BoundaryCircle:
         cur.expect("(")
         corners: list[int] = []
         if cur.peek() != ")":
-            corners = _parse_int_list(cur)
+            corners = _parse_list(cur, _Cursor.read_int)
         cur.expect(")")
         return BoundaryCircle(MIRROR, tuple(corners))
     raise SignatureSyntaxError("expected boundary circle 'm' or 'r(...)'", start)
@@ -272,13 +274,9 @@ def parse_signature(text: str) -> Signature:
         if name == "g" or name == "pun":
             seen[name] = cur.read_int()
         elif name == "cones":
-            seen[name] = _parse_int_list(cur)
+            seen[name] = _parse_list(cur, _Cursor.read_int)
         else:
-            circles = [_parse_circle(cur)]
-            while cur.peek() == ",":
-                cur.pos += 1
-                circles.append(_parse_circle(cur))
-            seen[name] = circles
+            seen[name] = _parse_list(cur, _parse_circle)
     if "g" not in seen:
         raise SignatureSyntaxError("missing mandatory field 'g'", len(text))
 

@@ -223,8 +223,9 @@ class TestSearchAgainstBruteForce:
     def test_pruning_loses_no_witness(self):
         # Genus 0 up to degree 6, genus 1 up to 4 and genus 2 up to 3, with
         # every multiset of up to 4 cone orders in 2..6 dividing the degree;
-        # and genus 1 at degree 5 with at most one cone, where the last
-        # handle's cycle-type cut fires.
+        # genus 1 at degree 5 with at most one cone, where the last handle's
+        # cycle-type cut fires; and two signatures whose first cone order
+        # does not divide the degree, so the first cone has no image.
         cases = []
         for genus, top in ((0, 6), (1, 4), (2, 3)):
             for n in range(1, top + 1):
@@ -234,7 +235,8 @@ class TestSearchAgainstBruteForce:
                         field = ";cones=" + ",".join(map(str, cones)) if cones else ""
                         cases.append((sig(f"O;g={genus}{field}"), n))
         cases += [(sig("O;g=1"), 5), (sig("O;g=1;cones=5"), 5)]
-        assert len(cases) == 105
+        cases += [(sig("O;g=1;cones=4"), 5), (sig("O;g=0;cones=3,3"), 4)]
+        assert len(cases) == 107
         mismatches = []
         for s, n in cases:
             if (search_at_degree(s, n) is not None) != brute_force_has_witness(s, n):

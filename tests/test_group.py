@@ -137,6 +137,12 @@ class TestSmithNormalForm:
         m = IntegerMatrix(entries)
         form = smith_normal_form(m)  # re-multiplication is verified internally
         chain = form.diagonal
+        # The transforms, checked outside the module: left * m * right is the
+        # diagonal, and both are unimodular.
+        left = sympy.Matrix(form.left_transform)
+        right = sympy.Matrix(form.right_transform)
+        assert left * sympy.Matrix(entries) * right == sympy.diag(*chain, rows=rows, cols=cols)
+        assert abs(left.det()) == 1 and abs(right.det()) == 1
         assert all(b % a == 0 for a, b in zip(chain, chain[1:]) if a)
         assert all(d >= 0 for d in chain)
         # Independent implementation: sympy's Smith normal form.
