@@ -366,16 +366,16 @@ class _Search:
     def run(self) -> list[Perm] | None:
         # A frame [gen, p, used, next q, trail mark] tries images q <= used
         # for slot (gen, p): the points 0 .. used - 1 in use, and the first
-        # point of the next block.  The blocks touched by the entries after
-        # x_1 are a prefix (deductions follow chains from touched points, and
-        # x_1 keeps to its blocks), and used is its end.  m is 1 with no cones.
+        # point of the next block.  used is the end of the blocks that the
+        # other generators' entries touch, a prefix, since deductions follow
+        # chains from touched points and x_1 keeps to its blocks.
         n, stack = self.n, []
         m = self.orders[0] if self.orders and self.orders[0] else 1
         if n % m:
             return None
         for p in range(n):
             if (p + 1) % m:
-                self._assign(0, p, p + 1)  # closes each block
+                self._assign(0, p, p + 1)  # the last link closes the block
         if not self._propagate():
             return None
         touched = [x for g, a, b in self.trail if g for x in (a, b)]

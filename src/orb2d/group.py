@@ -181,11 +181,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
                 continue
             # Enforce divisibility into the trailing block: add the first row
             # with an entry that the pivot does not divide, and hunt again.
-            failing = (i for i in range(t + 1, r) if any(a[i][j] % a[t][t] for j in range(t + 1, c)))
-            i = next(failing, None)
-            if i is None:
+            failing = [i for i in range(t + 1, r) for j in range(t + 1, c) if a[i][j] % a[t][t]]
+            if not failing:
                 break
-            a[t] = [x + y for x, y in zip(a[t], a[i])]
+            a[t] = [x + y for x, y in zip(a[t], a[failing[0]])]
 
     diagonal = tuple(a[i][i] for i in range(min(r, c)))
     left = IntegerMatrix(row[c:] for row in a[:r])
