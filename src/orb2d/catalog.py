@@ -1,17 +1,15 @@
 """Finite enumeration of canonical signatures and catalog generation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .classify import theorem_check
 from .signature import MANIFOLD, MIRROR, BoundaryCircle, Signature, min_rotation
 
 
-@dataclass(frozen=True)
-class CatalogBounds:
+class CatalogBounds(NamedTuple):
     max_genus: int = 0
     max_cones: int = 0
     max_order: int = 2

@@ -32,9 +32,9 @@ points in use are a prefix, which each branch counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .group import InternalInconsistencyError
 from .signature import PreconditionError, Signature, format_rational, orbifold_euler
@@ -89,8 +89,7 @@ def _uniform_cycle_length(p: Perm, length: int) -> bool:
     return all(len(c) == length for c in cycles(p, include_fixed=True))
 
 
-@dataclass(frozen=True)
-class CoverWitness:
+class CoverWitness(NamedTuple):
     degree: int
     handle_images: tuple[tuple[Perm, Perm], ...]
     cone_images: tuple[Perm, ...]
@@ -107,8 +106,7 @@ class CoverWitness:
         }
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     failure: str | None = None
 
@@ -368,7 +366,10 @@ class _Search:
         # for slot (gen, p): the points 0 .. used - 1 in use, and the first
         # point of the next block.  used is the end of the blocks that the
         # other generators' entries touch, a prefix, since deductions follow
-        # chains from touched points and x_1 keeps to its blocks.
+        # chains from touched points and x_1 keeps to its blocks.  It starts
+        # at 0: from x_1 alone the relator deduces another generator's
+        # entries only on the two-cone sphere (x_1 x_2 = 1), and there it
+        # fills every table or contradicts, so no frame opens.
         n, stack = self.n, []
         m = self.orders[0] if self.orders and self.orders[0] else 1
         if n % m:
@@ -378,8 +379,7 @@ class _Search:
                 self._assign(0, p, p + 1)  # the last link closes the block
         if not self._propagate():
             return None
-        touched = [x for g, a, b in self.trail if g for x in (a, b)]
-        used = (max(touched) // m + 1) * m if touched else 0
+        used = 0
         while True:
             # Every slot before the deepest frame's is full.
             top_gen, top_p = stack[-1][:2] if stack else (0, 0)

@@ -14,9 +14,9 @@ with the genus.  All integer arithmetic is arbitrary precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .signature import MIRROR, PreconditionError, Signature
 
@@ -31,8 +31,7 @@ class InternalInconsistencyError(RuntimeError):
     """A computed value contradicts a structural guarantee; a bug, not input."""
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     handle_pairs: int
     cone_gens: tuple[tuple[str, int], ...]
     relators: tuple[Word, ...]
@@ -65,15 +64,13 @@ class IntegerMatrix(tuple):
         return len(self[0]) if self else 0
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     diagonal: tuple[int, ...]
     left_transform: IntegerMatrix
     right_transform: IntegerMatrix
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     free_rank: int
     torsion: tuple[int, ...]
 

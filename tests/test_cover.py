@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -153,6 +152,32 @@ class TestSearch:
                 assert witness.cone_images[0] == perm_of_cycles(n, blocks)
             checked += 1
         assert checked > 50
+
+    def test_first_frame_finds_only_the_first_cone_set(self, monkeypatch):
+        # run starts counting the points in use at 0, which holds if x_1
+        # and what it deduces set no entry of another generator whenever
+        # a slot is left open.  The first _next_slot call of each search is
+        # made as run starts, before any frame opens.
+        from orb2d.catalog import CatalogBounds, enumerate_signatures
+
+        next_slot = _Search._next_slot
+        started, opened = [], []
+
+        def checked(search, gen, p):
+            slot = next_slot(search, gen, p)
+            if not started or started[-1] is not search:
+                started.append(search)
+                assert (gen, p) == (0, 0)
+                assert slot is None or all(g == 0 for g, _, _ in search.trail), (search.n, slot)
+                opened.append(slot is not None)
+            return slot
+
+        monkeypatch.setattr(_Search, "_next_slot", checked)
+        bounds = CatalogBounds(max_genus=2, max_cones=4, max_order=6, orientable_only=True)
+        for s in enumerate_signatures(bounds):
+            for n in degree_schedule(s, 12):
+                search_at_degree(s, n)
+        assert opened.count(True) > 100
 
     def test_riemann_hurwitz_on_returned_witnesses(self):
         for text in ["O;g=0;cones=2,2,2,3", "O;g=1;cones=2", "O;g=2", "O;g=0;cones=2,3,6"]:
@@ -446,18 +471,18 @@ class TestVerifyWitness:
         assert verify_witness(self.sig, self.witness).ok
 
     def test_cycle_type_failure(self):
-        broken = replace(
-            self.witness, cone_images=self.witness.cone_images[:3] + (identity(2),)
-        )
+        broken = self.witness._replace(cone_images=self.witness.cone_images[:3] + (identity(2),))
         result = verify_witness(self.sig, broken)
         assert not result.ok and result.failure.startswith("cycle type")
 
     def test_relator_failure(self):
-        flip = perm_of_cycles(2, [[0, 1]])
-        broken = CoverWitness(2, (), (flip, flip, flip, inverse(flip)), Fraction(0), 1)
-        # All cycle types fine, but the product is a transposition.
-        result = verify_witness(sig("O;g=0;cones=2,2,2,3"), broken)
-        assert not result.ok
+        a = perm_of_cycles(4, [[0, 1], [2, 3]])
+        b = perm_of_cycles(4, [[0, 2], [1, 3]])
+        broken = CoverWitness(4, (), (a, a, b, a), Fraction(0), 1)
+        # Every cone image has all cycles of length 2, but the product
+        # a a b a = b a is (0 3)(1 2), not the identity.
+        result = verify_witness(self.sig, broken)
+        assert not result.ok and result.failure.startswith("relator")
 
     def test_transitivity_failure(self):
         torus = sig("O;g=1")
@@ -466,12 +491,12 @@ class TestVerifyWitness:
         assert not result.ok and result.failure.startswith("transitivity")
 
     def test_euler_failure(self):
-        broken = replace(self.witness, cover_genus=2, cover_euler=Fraction(-2))
+        broken = self.witness._replace(cover_genus=2, cover_euler=Fraction(-2))
         result = verify_witness(self.sig, broken)
         assert not result.ok and result.failure.startswith("euler")
 
     def test_degree_mismatch_raises(self):
-        broken = replace(self.witness, cone_images=self.witness.cone_images[:3] + (identity(3),))
+        broken = self.witness._replace(cone_images=self.witness.cone_images[:3] + (identity(3),))
         with pytest.raises(ValueError):
             verify_witness(self.sig, broken)
 

@@ -53,6 +53,28 @@ class TestParse:
             parse_signature("O;g=x")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [("O;x=1", "unknown field 'x'", 2), ("O;g=0; Cones=2", "unknown field 'Cones'", 7)],
+    )
+    def test_unknown_field_reports_name_and_position(self, text, message, position):
+        with pytest.raises(SignatureSyntaxError, match=f"^{message} \\(at position {position}\\)$") as err:
+            parse_signature(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "genus,punctures,boundary,message",
+        [
+            (-1, 0, (), "genus must be nonnegative"),
+            (0, -1, (), "punctures must be nonnegative"),
+            (0, 0, (BoundaryCircle(MANIFOLD, (2,)),), "manifold circle cannot carry corners"),
+            (0, 0, (BoundaryCircle("q"),), "unknown boundary kind 'q'"),
+        ],
+    )
+    def test_make_rejects_out_of_domain_fields(self, genus, punctures, boundary, message):
+        with pytest.raises(SignatureValueError, match=f"^{message}$"):
+            Signature.make(True, genus, punctures, boundary)
+
     def test_bad_orientation_token(self):
         with pytest.raises(SignatureSyntaxError):
             parse_signature("X;g=0")
