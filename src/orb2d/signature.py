@@ -14,14 +14,13 @@ lexicographically minimal rotation.
 """
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Iterable, Iterator, NamedTuple
 
 MANIFOLD = "m"
 MIRROR = "r"
-
-_Item = TypeVar("_Item")
 
 
 class SignatureSyntaxError(ValueError):
@@ -41,10 +40,25 @@ class PreconditionError(ValueError):
 
 
 def min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically minimal rotation of a cyclic sequence."""
-    if len(seq) < 2:
+    """Lexicographically minimal rotation of a cyclic sequence, in linear
+    time (Booth 1980; Shiloach 1981): where starts ``i < j`` first differ,
+    after ``k`` equal items, the larger and the ``k`` starts after it drop out."""
+    n = len(seq)
+    if n < 2:
         return seq
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    twice = seq + seq
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = twice[i + k], twice[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j + 1, i + k + 1)
+        else:
+            j += k + 1
+        k = 0
+    return twice[i : i + n]
 
 
 class BoundaryCircle(NamedTuple):
@@ -84,9 +98,8 @@ class Signature(NamedTuple):
         if punctures < 0:
             raise SignatureValueError("punctures must be nonnegative")
         cone_tuple = tuple(sorted(cones))
-        for p in cone_tuple:
-            if p < 2:
-                raise SignatureValueError(f"cone order {p} < 2")
+        if cone_tuple and cone_tuple[0] < 2:
+            raise SignatureValueError(f"cone order {cone_tuple[0]} < 2")
         circles = []
         for circle in boundary:
             if circle.kind == MANIFOLD:
@@ -100,7 +113,7 @@ class Signature(NamedTuple):
                 circles.append(BoundaryCircle(MIRROR, min_rotation(tuple(circle.corners))))
             else:
                 raise SignatureValueError(f"unknown boundary kind {circle.kind!r}")
-        circles.sort(key=lambda c: (c.kind != MANIFOLD, c.corners))
+        circles.sort()  # by kind, and "m" < "r": manifold circles first
         return cls(orientable, genus, punctures, tuple(circles), cone_tuple)
 
     @property
@@ -178,75 +191,17 @@ def _unprintable(what: str) -> PreconditionError:
     return PreconditionError(f"{what} with over {limit} digits cannot be printed")
 
 
-_GRAMMAR_FIELDS = ("g", "pun", "cones", "bdry")
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise SignatureSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        # isdecimal, not isdigit: int() rejects superscripts and the like.
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise SignatureSyntaxError("expected an integer", start)
-        return int(self.text[start : self.pos])
-
-    def read_name(self) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start : self.pos], start
-
-
-def _parse_list(cur: _Cursor, read_item: Callable[[_Cursor], _Item]) -> list[_Item]:
-    items = [read_item(cur)]
-    while cur.peek() == ",":
-        cur.pos += 1
-        items.append(read_item(cur))
-    return items
-
-
-def _parse_circle(cur: _Cursor) -> BoundaryCircle:
-    name, start = cur.read_name()
-    if name == "m":
-        return BoundaryCircle(MANIFOLD)
-    if name == "r":
-        cur.expect("(")
-        corners: list[int] = []
-        if cur.peek() != ")":
-            corners = _parse_list(cur, _Cursor.read_int)
-        cur.expect(")")
-        return BoundaryCircle(MIRROR, tuple(corners))
-    raise SignatureSyntaxError("expected boundary circle 'm' or 'r(...)'", start)
+# A token is grammar punctuation (the commonest, so tried first), a run of
+# decimal digits, a run of letters or one other character.  No alternative
+# matches whitespace, so findall skips it between tokens.
+_TOKEN = re.compile(r"[;=,()]|\d+|[^\W\d_]+|\S")
+_FIELDS = ("g", "pun", "cones", "bdry")
 
 
 def parse_signature(text: str) -> Signature:
     """Parse signature text into a canonical :class:`Signature`.
 
-    Grammar (whitespace ignored, fields in any order, each at most once)::
+    Grammar (fields in any order, each at most once)::
 
         sig    := orient (';' field)*
         orient := 'O' | 'N'
@@ -254,39 +209,84 @@ def parse_signature(text: str) -> Signature:
                 | 'bdry=' bc (',' bc)*
         bc     := 'm' | 'r(' [INT (',' INT)*] ')'
 
-    The ``g`` field is mandatory.
+    The ``g`` field is mandatory.  Whitespace may separate tokens but not
+    split an integer or a name.  An INT is a run of any Unicode decimal
+    digits, read as ``int()`` reads them.  A parse error is a
+    :class:`SignatureSyntaxError` that reports its position.
     """
-    cur = _Cursor(text)
-    orient = cur.peek()
+    tokens = _TOKEN.findall(text)
+    tokens += "", ""  # end marks: a list scan reads one token past a last ','
+    if not text.isascii():  # [^\W\d_] also takes numerals that isalpha refuses
+        tokens = [part for token in tokens for part in _split_name(token)]
+    if tokens[0][1:]:  # a name such as 'ON': its first letter is the orientation
+        tokens[0:1] = tokens[0][0], tokens[0][1:]
+    orient = tokens[0]
     if orient not in ("O", "N"):
-        raise SignatureSyntaxError("expected orientation token 'O' or 'N'", cur.pos)
-    cur.pos += 1
-
-    seen: dict[str, object] = {}
-    while not cur.at_end():
-        cur.expect(";")
-        name, start = cur.read_name()
-        if name not in _GRAMMAR_FIELDS:
-            raise SignatureSyntaxError(f"unknown field {name!r}", start)
-        if name in seen:
-            raise SignatureSyntaxError(f"duplicate field {name!r}", start)
-        cur.expect("=")
-        if name == "g" or name == "pun":
-            seen[name] = cur.read_int()
-        elif name == "cones":
-            seen[name] = _parse_list(cur, _Cursor.read_int)
-        else:
-            seen[name] = _parse_list(cur, _parse_circle)
-    if "g" not in seen:
+        raise _error("expected orientation token 'O' or 'N'", text, tokens, 0)
+    fields: dict[str, object] = {}
+    i = 1
+    while tokens[i]:
+        name = tokens[i + 1]
+        if tokens[i] != ";":
+            raise _error("expected ';'", text, tokens, i)
+        if name not in _FIELDS:  # the name read is the run of letters there, or ''
+            raise _error(f"unknown field {(name if name.isalpha() else '')!r}", text, tokens, i + 1)
+        if name in fields:
+            raise _error(f"duplicate field {name!r}", text, tokens, i + 1)
+        if tokens[i + 2] != "=":
+            raise _error("expected '='", text, tokens, i + 2)
+        if name != "bdry":
+            value, i = _integers(text, tokens, i + 3, name == "cones")
+            fields[name] = value if name == "cones" else value[0]
+            continue
+        fields[name] = circles = []
+        i += 2
+        while not circles or tokens[i] == ",":  # i is at the '=' or ',' before a circle
+            if tokens[i + 1] == "m":
+                circles.append(BoundaryCircle(MANIFOLD))
+                i += 2
+                continue
+            if tokens[i + 1] != "r":
+                raise _error("expected boundary circle 'm' or 'r(...)'", text, tokens, i + 1)
+            if tokens[i + 2] != "(":
+                raise _error("expected '('", text, tokens, i + 2)
+            corners, i = ([], i + 3) if tokens[i + 3] == ")" else _integers(text, tokens, i + 3, True)
+            if tokens[i] != ")":
+                raise _error("expected ')'", text, tokens, i)
+            circles.append(BoundaryCircle(MIRROR, tuple(corners)))
+            i += 1
+    if "g" not in fields:
         raise SignatureSyntaxError("missing mandatory field 'g'", len(text))
+    return Signature.make(orient == "O", fields["g"], fields.get("pun", 0),
+                          fields.get("bdry", ()), fields.get("cones", ()))
 
-    return Signature.make(
-        orientable=(orient == "O"),
-        genus=seen["g"],  # type: ignore[arg-type]
-        punctures=seen.get("pun", 0),  # type: ignore[arg-type]
-        boundary=seen.get("bdry", ()),  # type: ignore[arg-type]
-        cones=seen.get("cones", ()),  # type: ignore[arg-type]
-    )
+
+def _integers(text: str, tokens: list[str], i: int, many: bool) -> tuple[list[int], int]:
+    """The integer at token ``i`` (``many``: the ','-list from there) and the next index."""
+    end = i + 1
+    while many and tokens[end] == ",":
+        end += 2
+    try:
+        return list(map(int, tokens[i:end:2])), end
+    except ValueError:
+        for k in range(i, end, 2):
+            if not tokens[k].isdecimal():
+                raise _error("expected an integer", text, tokens, k) from None
+            int(tokens[k])  # a run past int()'s digit limit raises int()'s own error
+
+
+def _split_name(token: str) -> tuple[str, ...]:
+    """``token`` cut where a name that begins it stops being ``isalpha``."""
+    k = next((k for k, char in enumerate(token) if not char.isalpha()), 0)
+    return (token[:k], token[k:]) if k else (token,)
+
+
+def _error(message: str, text: str, tokens: list[str], k: int) -> SignatureSyntaxError:
+    """A syntax error at token ``k``, or at the end of ``text`` for an end mark."""
+    position = 0
+    for token in tokens[:k]:
+        position = text.index(token, position) + len(token)
+    return SignatureSyntaxError(message, text.index(tokens[k], position) if tokens[k] else len(text))
 
 
 def format_signature(sig: Signature) -> str:

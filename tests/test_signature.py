@@ -1,10 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import signatures
+from cursor_parser import PIECES, check_seed_texts, cursor_parse, outcome
 from orb2d.signature import (
     MANIFOLD,
     MIRROR,
@@ -96,6 +99,28 @@ class TestParse:
         assert sig.boundary == (BoundaryCircle(MIRROR, ()),)
 
 
+class TestParserOracle:
+    """The token parser against the character-at-a-time parser it replaced:
+    an equal signature, or the same exception type, message and position."""
+
+    def test_seed_texts(self):
+        assert check_seed_texts() > 0
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(PIECES), max_size=12).map("".join))
+    def test_joined_pieces(self, text):
+        assert outcome(parse_signature, text) == outcome(cursor_parse, text)
+
+    @settings(max_examples=500)
+    @given(signatures(), st.lists(st.tuples(st.integers(0, 200), st.sampled_from(PIECES)), max_size=4))
+    def test_canonical_text_with_pieces_inserted(self, sig, insertions):
+        text = format_signature(sig)
+        for at, piece in insertions:
+            at %= len(text) + 1
+            text = text[:at] + piece + text[at:]
+        assert outcome(parse_signature, text) == outcome(cursor_parse, text)
+
+
 class TestFormat:
     def test_cones_sorted(self):
         sig = Signature.make(True, 0, cones=[5, 3, 2])
@@ -126,6 +151,19 @@ class TestCanonicalization:
     def test_rotation_is_cyclic_not_sorted(self):
         # (3, 2, 4) rotates to (2, 4, 3), not to the sorted (2, 3, 4).
         assert min_rotation((3, 2, 4)) == (2, 4, 3)
+
+    @given(st.lists(st.integers(2, 4), max_size=12).map(tuple))
+    def test_min_rotation_is_least_of_all_rotations(self, seq):
+        rotations = (seq[i:] + seq[:i] for i in range(len(seq)))
+        assert min_rotation(seq) == min(rotations, default=seq)
+
+    def test_long_mirror_circle_parses_in_linear_time(self):
+        corners = (3,) + (2,) * 99_999
+        text = "O;g=0;bdry=r(" + ",".join(map(str, corners)) + ")"
+        start = time.perf_counter()
+        sig = parse_signature(text)
+        assert time.perf_counter() - start < 1.0
+        assert sig.boundary[0].corners == corners[1:] + corners[:1]
 
     @given(signatures())
     def test_round_trip(self, sig):
