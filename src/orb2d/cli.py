@@ -48,7 +48,8 @@ MAX_GENUS_PLUS_PUNCTURES = 100_000
 
 def _classify(sig, args):
     record = classify(sig).to_record()
-    return record, [json.dumps(record)]
+    fields = (f"{k}={v if isinstance(v, str) else json.dumps(v)}" for k, v in record.items())
+    return record, [" ".join(fields)]
 
 
 def _euler(sig, args):
@@ -199,7 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInconsistencyError as err:
         print(f"internal consistency failure: {err}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    fmt = getattr(args, "format", "text")
+    # classify printed JSON before --format existed, so only an explicit
+    # --format text gives its text line.
+    fmt = getattr(args, "format", "json" if args.command == "classify" else "text")
     print(json.dumps(record) if fmt == "json" else "\n".join(lines))
     return 0
 

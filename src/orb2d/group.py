@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .signature import MIRROR, PreconditionError, Signature
@@ -50,8 +51,8 @@ class IntegerMatrix(tuple):
     """Immutable rectangular integer matrix as a tuple of row tuples."""
 
     def __new__(cls, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if rows and any(len(row) != len(rows[0]) for row in rows):
+        rows = tuple(tuple(map(int, row)) for row in rows)
+        if len({len(row) for row in rows}) > 1:
             raise ValueError("ragged rows")
         return super().__new__(cls, rows)
 
@@ -141,20 +142,21 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
     # Reduce [[m, I_r], [I_c, 0]]: an operation on the first r rows carries
     # left along, and one on the first c columns carries right along.
     r, c = m.rows, m.cols
-    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(m)]
-    a += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
+    a = [[*row, *[0] * i, 1, *[0] * (r - 1 - i)] for i, row in enumerate(m)]
+    a += [[0] * i + [1] + [0] * (c + r - 1 - i) for i in range(c)]
 
     for t in range(min(r, c)):
         while True:
-            # Move the smallest nonzero entry of the trailing block to (t, t).
-            pivot = None
+            # Move the smallest nonzero entry of the trailing block to (t, t),
+            # the first in row order on a tie; no entry is smaller than 1.
             best = 0
             for i in range(t, r):
-                for j in range(t, c):
-                    v = abs(a[i][j])
-                    if v and (pivot is None or v < best):
-                        pivot, best = (i, j), v
-            if pivot is None:
+                for j, x in enumerate(a[i][t:c], t):
+                    if x and (not best or abs(x) < best):
+                        pivot, best = (i, j), abs(x)
+                if best == 1:
+                    break
+            if not best:
                 break
             i, j = pivot
             if i != t:
@@ -164,24 +166,35 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
                     row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-            # Clear row and column t; remainders re-enter the pivot hunt.
+            # Clear row and column t; remainders re-enter the pivot hunt. Each
+            # column operation reads its multiplier from row t before any
+            # change and writes only its own column, so one pass applies all.
+            top = a[t]
+            p = top[t]
             for i in range(t + 1, r):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            for j in range(t + 1, c):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-            if any(a[i][t] for i in range(t + 1, r)) or any(a[t][j] for j in range(t + 1, c)):
+                    q = a[i][t] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+            ops = [(j, top[j] // p) for j in range(t + 1, c) if top[j]]
+            if ops:
+                for row in a:
+                    x = row[t]
+                    if x:
+                        for j, q in ops:
+                            row[j] -= q * x
+            # A unit pivot clears its row and column and divides everything.
+            if p == 1:
+                break
+            if any(a[i][t] for i in range(t + 1, r)) or any(top[t + 1:c]):
                 continue
             # Enforce divisibility into the trailing block: add the first row
             # with an entry that the pivot does not divide, and hunt again.
-            failing = [i for i in range(t + 1, r) for j in range(t + 1, c) if a[i][j] % a[t][t]]
-            if not failing:
+            for i in range(t + 1, r):
+                if any(x % p for x in a[i][t + 1:c]):
+                    a[t] = [x + y for x, y in zip(top, a[i])]
+                    break
+            else:
                 break
-            a[t] = [x + y for x, y in zip(a[t], a[failing[0]])]
 
     diagonal = tuple(a[i][i] for i in range(min(r, c)))
     left = IntegerMatrix(row[c:] for row in a[:r])
@@ -192,23 +205,15 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
 
 
 def _check_smith(m: IntegerMatrix, form: SmithForm) -> None:
-    r, c = m.rows, m.cols
-    left, right = form.left_transform, form.right_transform
-    lm = [
-        [sum(left[i][s] * m[s][j] for s in range(r)) for j in range(c)]
-        for i in range(r)
-    ]
-    prod = [
-        [sum(lm[i][s] * right[s][j] for s in range(c)) for j in range(c)]
-        for i in range(r)
-    ]
-    for i in range(r):
-        for j in range(c):
-            expected = form.diagonal[i] if i == j and i < len(form.diagonal) else 0
-            if prod[i][j] != expected:
-                raise InternalInconsistencyError("Smith form does not re-multiply")
-    for i, d in enumerate(form.diagonal[:-1]):
-        nxt = form.diagonal[i + 1]
+    left, right, diagonal = form.left_transform, form.right_transform, form.diagonal
+    columns = list(zip(*m))
+    lm = [[sum(map(mul, row, col)) for col in columns] for row in left]
+    columns = list(zip(*right))
+    prod = [[sum(map(mul, row, col)) for col in columns] for row in lm]
+    n = len(diagonal)
+    if prod != [[diagonal[i] if i == j < n else 0 for j in range(m.cols)] for i in range(m.rows)]:
+        raise InternalInconsistencyError("Smith form does not re-multiply")
+    for d, nxt in zip(diagonal, diagonal[1:]):
         if d == 0 and nxt != 0:
             raise InternalInconsistencyError("zero before nonzero on Smith diagonal")
         if d and nxt % d:
@@ -225,11 +230,11 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     relator row says nothing, so both are dropped first.
     """
     matrix = relation_matrix(p)
-    live_cols = [j for j in range(matrix.cols) if any(row[j] for row in matrix)]
-    free_rank = matrix.cols - len(live_cols)
-    if not live_cols:
+    live = [col for col in zip(*matrix) if any(col)]
+    free_rank = matrix.cols - len(live)
+    if not live:
         return AbelianInvariants(free_rank, ())
-    block = IntegerMatrix([[row[j] for j in live_cols] for row in matrix if any(row)])
+    block = IntegerMatrix(row for row in zip(*live) if any(row))
     diagonal = smith_normal_form(block).diagonal
     free_rank += block.cols - len(diagonal) + sum(1 for d in diagonal if d == 0)
     torsion = tuple(d for d in diagonal if d > 1)

@@ -67,6 +67,41 @@ class TestCliCommands:
         assert record["euler"] == "-1/42" and record["geometry"] == "hyperbolic"
         assert record["order"] is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "O;g=0;cones=2,3"],
+            ["--format", "json", "classify", "O;g=0;cones=2,3"],
+            ["classify", "O;g=0;cones=2,3", "--format", "json"],
+        ],
+        ids=["bare", "json-before-command", "json-after-command"],
+    )
+    def test_classify_prints_json_unless_text_is_asked_for(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (
+            '{"sig": "O;g=0;cones=2,3", "euler": "5/6", "good": false, "finite": true,'
+            ' "order": 1, "geometry": "bad_no_geometry"}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (
+                ["--format", "text", "classify", "O;g=0;cones=2,3,7"],
+                "sig=O;g=0;cones=2,3,7 euler=-1/42 good=true finite=false order=null geometry=hyperbolic",
+            ),
+            (
+                ["classify", "O;g=0;cones=2,3", "--format", "text"],
+                "sig=O;g=0;cones=2,3 euler=5/6 good=false finite=true order=1 geometry=bad_no_geometry",
+            ),
+        ],
+        ids=["before-command", "after-command"],
+    )
+    def test_classify_explicit_text(self, capsys, argv, line):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == line + "\n"
+
     def test_euler_text_and_json(self, capsys):
         code, out, _ = run(capsys, "euler", "O;g=0;cones=2,3,5")
         assert code == 0 and out.strip() == "1/30"

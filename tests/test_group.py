@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -12,6 +13,8 @@ from orb2d.group import (
     IntegerMatrix,
     InternalInconsistencyError,
     Presentation,
+    SmithForm,
+    _check_smith,
     abelianization,
     group_order_if_finite,
     presentation_of_closed,
@@ -20,6 +23,7 @@ from orb2d.group import (
     smith_normal_form,
 )
 from orb2d.signature import PreconditionError, orbifold_euler, parse_signature
+import snf_reference
 
 
 def sig(text):
@@ -170,6 +174,28 @@ class TestSmithNormalForm:
         assert prod == abs(det)
 
 
+I2 = [[1, 0], [0, 1]]
+
+
+class TestCheckSmith:
+    """Each failure branch of the Smith form's self-check, on a hand-built form."""
+
+    @pytest.mark.parametrize(
+        "m,diagonal,left,right,message",
+        [
+            ([[1]], (2,), [[1]], [[1]], "does not re-multiply"),
+            ([[2, 0], [0, 3]], (2, 3), I2, I2, "not a divisibility chain"),
+            ([[0, 0], [0, 1]], (0, 1), I2, I2, "zero before nonzero"),
+            ([[1]], (2,), [[2]], [[1]], "not unimodular"),
+        ],
+        ids=["product", "chain", "zero-first", "unimodular"],
+    )
+    def test_failure_branch(self, m, diagonal, left, right, message):
+        form = SmithForm(diagonal, IntegerMatrix(left), IntegerMatrix(right))
+        with pytest.raises(InternalInconsistencyError, match=message):
+            _check_smith(IntegerMatrix(m), form)
+
+
 class TestAbelianization:
     def test_spherical_triangle_trivial(self):
         p = presentation_of_closed(sig("O;g=0;cones=2,3,5"))
@@ -264,6 +290,37 @@ class TestLiveBlock:
         inv = abelianization(presentation_of_closed(sig("O;g=1000;cones=2,3,5,7")))
         assert inv == AbelianInvariants(2000, ())
         assert shapes == [(5, 4)]
+
+
+class TestSmithReference:
+    """The one-pass kernel returns the same diagonal and transforms as the
+    kernel it replaced (``tests/snf_reference.py``)."""
+
+    @pytest.mark.parametrize("zero_share", [0.0, 0.7])
+    def test_seeded_random_matrices(self, zero_share):
+        rng = random.Random(2018)
+        for rows, cols in product(range(1, 7), repeat=2):
+            for _ in range(25):
+                m = IntegerMatrix(
+                    [[0 if rng.random() < zero_share else rng.randint(-9, 9) for _ in range(cols)]
+                     for _ in range(rows)]
+                )
+                assert smith_normal_form(m) == snf_reference.smith_normal_form(m), m
+
+    def test_live_blocks_over_cone_bounds(self, monkeypatch):
+        import orb2d.group as group
+
+        blocks = []
+        snf = group.smith_normal_form
+        monkeypatch.setattr(group, "smith_normal_form", lambda m: blocks.append(m) or snf(m))
+        count = 0
+        for s in enumerate_signatures(CONE_BOUNDS):
+            abelianization(presentation_of_closed(s))
+            count += 1
+        # O;g=0, O;g=1 and O;g=2 have no live block: no relator uses a generator.
+        assert (count, len(blocks)) == (378, 375)
+        for m in blocks:
+            assert snf(m) == snf_reference.smith_normal_form(m), m
 
 
 class TestGroupOrder:
