@@ -46,10 +46,14 @@ EXIT_INCONSISTENT = 4
 MAX_GENUS_PLUS_PUNCTURES = 100_000
 
 
+def _fields_line(record) -> str:
+    """The record's fields as ``name=value`` in record order, with JSON scalars."""
+    return " ".join(f"{k}={v if isinstance(v, str) else json.dumps(v)}" for k, v in record.items())
+
+
 def _classify(sig, args):
     record = classify(sig).to_record()
-    fields = (f"{k}={v if isinstance(v, str) else json.dumps(v)}" for k, v in record.items())
-    return record, [" ".join(fields)]
+    return record, [_fields_line(record)]
 
 
 def _euler(sig, args):
@@ -137,25 +141,13 @@ COMMANDS = {
 
 
 def _catalog(args) -> int:
-    bounds = CatalogBounds(
-        max_genus=args.max_genus,
-        max_cones=args.max_cones,
-        max_order=args.max_order,
-        max_boundary=args.max_boundary,
-        max_corners_per_circle=args.max_corners,
-        max_punctures=args.max_punctures,
-        orientable_only=args.orientable_only,
-    )
+    bounds = CatalogBounds(*(getattr(args, field) for field in CatalogBounds._fields))
     records, summary = catalog_records(bounds)
     to_file = args.out and args.out != "-"
     with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
         for record in records:
             out.write(json.dumps(record) + "\n")
-    print(
-        "total={total} good={good} bad={bad} finite={finite} infinite={infinite}".format(
-            **summary
-        )
-    )
+    print(_fields_line(summary))
     return 0
 
 
@@ -173,13 +165,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sub.add_parser(name, parents=[fmt]).add_argument("signature")
     sub.choices["cover"].add_argument("--max-degree", type=int, default=12)
+    # Each catalog bound's dest is its CatalogBounds field, which states the default.
     catalog = sub.add_parser("catalog", parents=[fmt])
-    catalog.add_argument("--max-genus", type=int, default=0)
-    catalog.add_argument("--max-cones", type=int, default=0)
-    catalog.add_argument("--max-order", type=int, default=2)
-    catalog.add_argument("--max-boundary", type=int, default=0)
-    catalog.add_argument("--max-corners", type=int, default=0)
-    catalog.add_argument("--max-punctures", type=int, default=0)
+    catalog.set_defaults(**CatalogBounds()._asdict())
+    catalog.add_argument("--max-genus", type=int)
+    catalog.add_argument("--max-cones", type=int)
+    catalog.add_argument("--max-order", type=int)
+    catalog.add_argument("--max-boundary", type=int)
+    catalog.add_argument("--max-corners", type=int, dest="max_corners_per_circle", metavar="MAX_CORNERS")
+    catalog.add_argument("--max-punctures", type=int)
     catalog.add_argument("--orientable-only", action="store_true")
     catalog.add_argument("--out", default=None)
     return parser

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from .signature import MIRROR, PreconditionError, Signature
@@ -48,10 +48,15 @@ class Presentation(NamedTuple):
 
 
 class IntegerMatrix(tuple):
-    """Immutable rectangular integer matrix as a tuple of row tuples."""
+    """Immutable rectangular integer matrix as a tuple of row tuples.
+
+    Entries are read with ``operator.index``: a float, string, ``Fraction``
+    or ``None`` raises ``TypeError``, and a ``bool`` (an ``int`` subclass)
+    reads as 0 or 1.
+    """
 
     def __new__(cls, rows):
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         if len({len(row) for row in rows}) > 1:
             raise ValueError("ragged rows")
         return super().__new__(cls, rows)

@@ -28,6 +28,8 @@ from orb2d.group import (
 from orb2d.reduce import end_cut, manifold_double, mirror_double, orientation_double
 from orb2d.signature import MANIFOLD, MIRROR, orbifold_euler, parse_signature
 
+# The acceptance populations are spelled here only: the other test modules
+# import them, and perfbench/selftest.py reads these literal assignments.
 CONE_BOUNDS = CatalogBounds(max_genus=2, max_cones=4, max_order=6, orientable_only=True)
 SUITE_BOUNDS = CatalogBounds(
     max_genus=2,

@@ -209,6 +209,47 @@ class TestCliCommands:
         assert first == second
 
 
+class TestCatalogOptions:
+    # The options set CatalogBounds fields by name and take their defaults
+    # from CatalogBounds; the summary line is the name=value join of the
+    # summary catalog_records returns.
+    SUMMARY = {"total": 9, "good": 8, "bad": 1, "finite": 3, "infinite": 6}
+    LINE = " ".join(f"{k}={v}" for k, v in SUMMARY.items()) + "\n"
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import orb2d.cli as cli
+
+        calls = []
+
+        def catalog_records(bounds):
+            calls.append(bounds)
+            return [], self.SUMMARY
+
+        monkeypatch.setattr(cli, "catalog_records", catalog_records)
+        return calls
+
+    def test_bare_catalog_passes_default_bounds(self, capsys, calls):
+        assert run(capsys, "catalog") == (0, self.LINE, "")
+        assert calls == [CatalogBounds()]
+
+    def test_every_option_sets_its_field(self, capsys, calls):
+        argv = ["--max-genus", "1", "--max-cones", "2", "--max-order", "3", "--max-boundary", "4"]
+        argv += ["--max-corners", "5", "--max-punctures", "6", "--orientable-only"]
+        assert run(capsys, "catalog", *argv) == (0, self.LINE, "")
+        assert calls == [
+            CatalogBounds(
+                max_genus=1,
+                max_cones=2,
+                max_order=3,
+                max_boundary=4,
+                max_corners_per_circle=5,
+                max_punctures=6,
+                orientable_only=True,
+            )
+        ]
+
+
 class TestCliErrors:
     @pytest.mark.parametrize(
         "text", ["O;g=x", "Q;g=0", "O;cones=2", "O;g=0;cones=1", "N;g=0", "O;g=\u00b2"]

@@ -25,6 +25,7 @@ from orb2d.cover import (
 )
 from orb2d.group import InternalInconsistencyError
 from orb2d.signature import PreconditionError, orbifold_euler, parse_signature
+from test_acceptance import CONE_BOUNDS
 
 
 def sig(text):
@@ -133,12 +134,11 @@ class TestSearch:
     def test_good_small_signatures_all_covered(self):
         # Desk-scale completeness: every good signature in the bounds
         # whose first feasible degree is at most 6 has a witness there.
-        from orb2d.catalog import CatalogBounds, enumerate_signatures
+        from orb2d.catalog import enumerate_signatures
         from orb2d.classify import classify
 
-        bounds = CatalogBounds(max_genus=2, max_cones=4, max_order=6, orientable_only=True)
         checked = 0
-        for s in enumerate_signatures(bounds):
+        for s in enumerate_signatures(CONE_BOUNDS):
             schedule = degree_schedule(s, 6)
             if not schedule or not classify(s).good:
                 continue
@@ -158,7 +158,7 @@ class TestSearch:
         # and what it deduces set no entry of another generator whenever
         # a slot is left open.  The first _next_slot call of each search is
         # made as run starts, before any frame opens.
-        from orb2d.catalog import CatalogBounds, enumerate_signatures
+        from orb2d.catalog import enumerate_signatures
 
         next_slot = _Search._next_slot
         started, opened = [], []
@@ -173,8 +173,7 @@ class TestSearch:
             return slot
 
         monkeypatch.setattr(_Search, "_next_slot", checked)
-        bounds = CatalogBounds(max_genus=2, max_cones=4, max_order=6, orientable_only=True)
-        for s in enumerate_signatures(bounds):
+        for s in enumerate_signatures(CONE_BOUNDS):
             for n in degree_schedule(s, 12):
                 search_at_degree(s, n)
         assert opened.count(True) > 100

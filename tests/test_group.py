@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from orb2d.catalog import CatalogBounds, enumerate_signatures
+from orb2d.catalog import enumerate_signatures
 from orb2d.group import (
     AbelianInvariants,
     IntegerMatrix,
@@ -23,6 +24,7 @@ from orb2d.group import (
     smith_normal_form,
 )
 from orb2d.signature import PreconditionError, orbifold_euler, parse_signature
+from test_acceptance import CONE_BOUNDS
 import snf_reference
 
 
@@ -105,6 +107,18 @@ def brute_force_snf_2x2(m):
                 if d[1, 1] == 0 or (d[0, 0] and d[1, 1] % d[0, 0] == 0):
                     found.add((d[0, 0], d[1, 1]))
     return found
+
+
+class TestIntegerMatrix:
+    @pytest.mark.parametrize("entry", [2.7, 2.0, "2", Fraction(2), None])
+    def test_non_integer_entry_refused(self, entry):
+        # A truncated or parsed entry would give the Smith form of another matrix.
+        with pytest.raises(TypeError):
+            IntegerMatrix([[entry, 1]])
+
+    def test_bool_entry_reads_as_int(self):
+        m = IntegerMatrix([[True, False]])
+        assert m == ((1, 0),) and [type(x) for x in m[0]] == [int, int]
 
 
 class TestSmithNormalForm:
@@ -238,10 +252,6 @@ class TestAbelianization:
                 key = (inv.free_rank, len(inv.torsion))
                 assert key >= previous
                 previous = key
-
-
-# The acceptance suite's closed orientable cone-only population.
-CONE_BOUNDS = CatalogBounds(max_genus=2, max_cones=4, max_order=6, orientable_only=True)
 
 
 def whole_matrix_abelianization(p):
