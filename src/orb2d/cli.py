@@ -158,15 +158,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument(
         "--format", choices=("json", "text"), default=argparse.SUPPRESS, help="output format"
     )
+    # Options are given in full: a prefix would change meaning as options are added.
     parser = argparse.ArgumentParser(
-        prog="orb2d", description="Classify finite-type 2-orbifold signatures.", parents=[fmt]
+        prog="orb2d",
+        description="Classify finite-type 2-orbifold signatures.",
+        parents=[fmt],
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sub.add_parser(name, parents=[fmt]).add_argument("signature")
+        sub.add_parser(name, parents=[fmt], allow_abbrev=False).add_argument("signature")
     sub.choices["cover"].add_argument("--max-degree", type=int, default=12)
     # Each catalog bound's dest is its CatalogBounds field, which states the default.
-    catalog = sub.add_parser("catalog", parents=[fmt])
+    catalog = sub.add_parser("catalog", parents=[fmt], allow_abbrev=False)
     catalog.set_defaults(**CatalogBounds()._asdict())
     catalog.add_argument("--max-genus", type=int)
     catalog.add_argument("--max-cones", type=int)

@@ -24,6 +24,12 @@ short of all n points (no completion is transitive), and at the first
 slot of the last handle generator b, an a that is not conjugate to T a,
 where T is the rest of the relator (no b solves a b a^-1 b^-1 T = 1).
 
+The deduction skips the scans that cannot deduce: while the table of the
+last handle generator b has no entry, no rotation of the long relator can
+be read to within one letter of closing, since b and b^-1 are two of its
+letters, so the entries set meanwhile are not scanned.  A scan that later
+deduces reads through an entry of b, whose own scans cover it.
+
 The search state is the tables, one trail of the entries set in them and
 an explicit stack of open branches, so Python's recursion limit does not
 bound the depth.  The trail past its head is the deduction queue, and
@@ -82,7 +88,18 @@ def cycles(p: Perm, include_fixed: bool = False) -> list[list[int]]:
 
 
 def _cycle_type(p: Perm) -> list[int]:
-    return sorted(map(len, cycles(p, include_fixed=True)))
+    """Sorted cycle lengths, fixed points included."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if not seen[start]:
+            node, length = start, 0
+            while not seen[node]:
+                seen[node] = True
+                node = p[node]
+                length += 1
+            lengths.append(length)
+    return sorted(lengths)
 
 
 def _uniform_cycle_length(p: Perm, length: int) -> bool:
@@ -225,6 +242,8 @@ class _Search:
         # The letters x_1 .. x_k [a_1, b_1] .. [a_{g-1}, b_{g-1}] a_g of the
         # doubled word, whose product is T a in _dead_end.
         self.ta_tables = self.fwd[4 * g : len(word) + 4 * g - 3]
+        # The table of b_g, whose emptiness _propagate tests; None for genus 0.
+        self.last_row = self.img[-1] if g else None
         # Every entry (gen, p, q) set, in order; the entries from head on
         # are the deduction queue, not yet propagated.
         self.trail: list[tuple[int, int, int]] = []
@@ -274,8 +293,22 @@ class _Search:
         forwards from r and backwards from r + len(word) - 1 as far as the
         tables go.  If the two ends meet, the rotation must close at alpha;
         if they are one letter apart, that letter's entry is deduced.
+
+        While the table of the last handle generator b = b_g is empty, head
+        moves to the end of the trail with no scan, in any order of
+        assignment.  Every rotation holds b and b^-1 at two different
+        letters, so its forward read stops at or before the first of them
+        and its backward read at or after the second: no scan deduces an
+        entry or meets a contradiction.  A scan that can do either later
+        reads through some entry img[b][p] = q, set after the skip, and the
+        scans of that entry read the same path, from p in the rotations
+        that begin with b and from q in those that begin with b^-1.  So
+        head at the end of the trail still means the fixed point.
         """
         trail, fwd, bwd, word = self.trail, self.fwd, self.bwd, self.word
+        if self.last_row is not None and self.last_row.count(-1) == self.n:
+            self.head = len(trail)
+            return True
         length = len(word)
         while self.head < len(trail):
             gen, p, q = trail[self.head]

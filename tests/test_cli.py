@@ -249,6 +249,16 @@ class TestCatalogOptions:
             )
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["catalog", "--max-corner", "1"], ["catalog", "--orientable"], ["--form", "json", "catalog"]],
+    )
+    def test_option_prefixes_exit_2(self, capsys, calls, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2 and calls == []
+        assert capsys.readouterr().out == ""
+
 
 class TestCliErrors:
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,14 @@ class TestSearch:
         witness = search_at_degree(s, 1)
         assert witness is not None and witness.degree == 1
         assert verify_witness(s, witness).ok
+
+    def test_degree_one_in_linear_time_in_the_genus(self):
+        # Every handle entry's scans would cross the earlier handle letters,
+        # a cost quadratic in the genus; no scan runs before b_g has an entry.
+        start = time.perf_counter()
+        witness = manifold_cover_search(sig("O;g=8000"), 1)
+        assert time.perf_counter() - start < 5
+        assert witness is not None and witness.degree == 1
 
 
 def is_uniform(p, order):
@@ -421,6 +430,7 @@ class TestDeductionQueue:
             ("O;g=1;cones=2", 6, False),
             ("O;g=1;cones=6", 6, False),
             ("O;g=2;cones=2,2", 2, True),
+            ("O;g=3", 2, True),
         ],
     )
     def test_search_propagations_reach_the_fixed_point(self, monkeypatch, text, degree, found):
@@ -438,14 +448,19 @@ class TestDeductionQueue:
         assert (search_at_degree(sig(text), degree) is not None) == found
         assert fixed_points
 
-    @pytest.mark.parametrize("text,degree", [("O;g=1", 4), ("O;g=1;cones=2", 4), ("O;g=2;cones=2,2", 4)])
+    @pytest.mark.parametrize(
+        "text,degree", [("O;g=1", 4), ("O;g=1;cones=2", 4), ("O;g=2;cones=2,2", 4), ("O;g=3", 4)]
+    )
     def test_any_assignment_order_reaches_the_fixed_point(self, text, degree):
         # The search fills one generator after another, and once only the
         # last handle generator is open the rotations that begin with it
         # deduce everything.  Filling slots in random order also needs the
-        # rotations that begin with an inverse generator.
+        # rotations that begin with an inverse generator, and reaches the
+        # fixed point both while b_g's table is empty, when no scan runs,
+        # and after it has entries.
         rng = random.Random(6)
         fixed_points = 0
+        last_empty = set()
         for _ in range(300):
             search = _Search(sig(text), degree)
             slots = [(gen, p) for gen in range(search.ngens) for p in range(degree)]
@@ -458,7 +473,9 @@ class TestDeductionQueue:
                     break
                 assert_fixed_point(search)
                 fixed_points += 1
+                last_empty.add(search.img[-1].count(-1) == degree)
         assert fixed_points > 300
+        assert last_empty == {True, False}
 
 
 class TestVerifyWitness:
