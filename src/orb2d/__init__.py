@@ -4,9 +4,17 @@ Decide whether a 2-orbifold is good or bad, whether its orbifold
 fundamental group is finite or infinite, which geometry it carries, and
 exhibit a finite manifold orbifold-cover as a constructive certificate
 of goodness.
+
+Importing the package loads only the classifier layers (``signature``,
+``group``, ``classify``). The cover and reduce names load their module on
+first use and are looked up in it on every access, never stored here, so
+a patch of ``orb2d.cover.<name>`` or ``orb2d.reduce.<name>`` shows through
+``orb2d.<name>``.
 """
+import sys
+from importlib import import_module
+
 from .classify import Classification, Geometry, classify, is_bad_closed, theorem_check
-from .cover import CoverWitness, manifold_cover_search, verify_witness
 from .group import (
     AbelianInvariants,
     IntegerMatrix,
@@ -17,16 +25,6 @@ from .group import (
     presentation_of_closed,
     relation_matrix,
     smith_normal_form,
-)
-from .reduce import (
-    ReductionStep,
-    ReductionTrace,
-    end_cut,
-    manifold_double,
-    mirror_double,
-    orientation_double,
-    reduce_final,
-    reduce_to_closed,
 )
 from .signature import (
     BoundaryCircle,
@@ -39,6 +37,35 @@ from .signature import (
     parse_signature,
     underlying_euler,
 )
+
+_LAZY = {
+    **dict.fromkeys(("CoverWitness", "manifold_cover_search", "verify_witness"), "orb2d.cover"),
+    **dict.fromkeys(
+        (
+            "ReductionStep",
+            "ReductionTrace",
+            "end_cut",
+            "manifold_double",
+            "mirror_double",
+            "orientation_double",
+            "reduce_final",
+            "reduce_to_closed",
+        ),
+        "orb2d.reduce",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules.get(module) or import_module(module), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "AbelianInvariants",

@@ -14,13 +14,11 @@ the order of its double for a bad mirror disk.
 """
 from __future__ import annotations
 
-import json
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
 from .group import InternalInconsistencyError, bad_list_orders, group_order_if_finite
-from .reduce import reduce_final
 from .signature import (
     PreconditionError,
     Signature,
@@ -49,7 +47,10 @@ class Classification(NamedTuple):
 
     @property
     def reduced(self) -> Signature:
-        """The reduced signature, computed by :func:`reduce_final` on each access."""
+        """The reduced signature, computed by :func:`~orb2d.reduce.reduce_final`
+        on each access."""
+        from .reduce import reduce_final  # loaded on first use, not by import orb2d
+
         return reduce_final(self.signature)
 
     def to_record(self) -> dict:
@@ -64,6 +65,8 @@ class Classification(NamedTuple):
         }
 
     def to_json(self) -> str:
+        import json  # loaded on first use, not by import orb2d
+
         return json.dumps(self.to_record())
 
 

@@ -4,28 +4,31 @@ Each handler in :data:`COMMANDS` maps a signature to its JSON record and its
 text lines; :func:`main` prints one of them, so a failing command prints
 nothing on stdout.
 
-Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 internal
+Exit codes: 0 ok, 2 parse error or bad argument (a ``catalog --out`` that
+cannot be opened among them), 3 precondition violation, 4 internal
 consistency failure (a check of the program's own result failed: a
 theorem_check violation in catalog generation, a Smith form, a group order,
-or a search-produced cover witness).
+or a search-produced cover witness), 141 stdout closed by its reader.
+
+The cover search and the reduction pipeline are imported by the commands
+that use them, so ``classify``, ``euler`` and ``catalog`` load neither.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .catalog import CatalogBounds, catalog_records
 from .classify import classify
-from .cover import degree_schedule, manifold_cover_search
 from .group import (
     InternalInconsistencyError,
     abelianization,
     presentation_of_closed,
     render_presentation,
 )
-from .reduce import reduce_to_closed
 from .signature import (
     PreconditionError,
     SignatureSyntaxError,
@@ -39,6 +42,8 @@ from .signature import (
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_INCONSISTENT = 4
+# What a shell reports for a process that SIGPIPE ended: 128 + 13.
+EXIT_CLOSED_STDOUT = 141
 
 # A short text can spell a large count. The work and output of reduce, pi1,
 # abel and cover grow with genus + punctures, so they refuse a larger sum; the
@@ -64,6 +69,8 @@ def _euler(sig, args):
 def _reduce_bounded(sig):
     if sig.genus + sig.punctures > MAX_GENUS_PLUS_PUNCTURES:
         raise PreconditionError(f"genus + punctures must be at most {MAX_GENUS_PLUS_PUNCTURES}")
+    from .reduce import reduce_to_closed
+
     return reduce_to_closed(sig)
 
 
@@ -116,6 +123,8 @@ def _abel(sig, args):
 
 
 def _cover(sig, args):
+    from .cover import degree_schedule, manifold_cover_search
+
     reduced, record, lines = _reduced(sig)
     witness = manifold_cover_search(reduced, args.max_degree)
     schedule = degree_schedule(reduced, args.max_degree)
@@ -142,11 +151,18 @@ COMMANDS = {
 
 def _catalog(args) -> int:
     bounds = CatalogBounds(*(getattr(args, field) for field in CatalogBounds._fields))
-    records, summary = catalog_records(bounds)
     to_file = args.out and args.out != "-"
-    with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
+    # Opened before the enumeration, so a path that cannot be written costs
+    # no work; it exits 2, as argparse does for a bad argument.
+    try:
+        out = open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout)
+    except OSError as err:
+        print(f"cannot open --out {args.out!r}: {err.strerror}", file=sys.stderr)
+        return EXIT_PARSE
+    with out as stream:
+        records, summary = catalog_records(bounds)
         for record in records:
-            out.write(json.dumps(record) + "\n")
+            stream.write(json.dumps(record) + "\n")
     print(_fields_line(summary))
     return 0
 
@@ -187,8 +203,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "catalog":
-            return _catalog(args)
-        record, lines = COMMANDS[args.command](parse_signature(args.signature), args)
+            code = _catalog(args)
+        else:
+            record, lines = COMMANDS[args.command](parse_signature(args.signature), args)
+            # classify printed JSON before --format existed, so only an
+            # explicit --format text gives its text line.
+            fmt = getattr(args, "format", "json" if args.command == "classify" else "text")
+            print(json.dumps(record) if fmt == "json" else "\n".join(lines))
+            code = 0
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
     except (SignatureSyntaxError, SignatureValueError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -198,11 +221,15 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInconsistencyError as err:
         print(f"internal consistency failure: {err}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    # classify printed JSON before --format existed, so only an explicit
-    # --format text gives its text line.
-    fmt = getattr(args, "format", "json" if args.command == "classify" else "text")
-    print(json.dumps(record) if fmt == "json" else "\n".join(lines))
-    return 0
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``). Python flushes stdout
+        # again at exit; pointing it at devnull keeps that flush quiet, as
+        # the SIGPIPE note in the Python docs does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

@@ -1,14 +1,24 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orb2d.catalog import CatalogBounds, catalog_records, circle_types, enumerate_signatures
-from orb2d.cli import EXIT_INCONSISTENT, EXIT_PARSE, EXIT_PRECONDITION, main
+import orb2d
+from orb2d.cli import (
+    EXIT_CLOSED_STDOUT,
+    EXIT_INCONSISTENT,
+    EXIT_PARSE,
+    EXIT_PRECONDITION,
+    main,
+)
 from orb2d.signature import MANIFOLD, MIRROR, format_signature, parse_signature
 
 
@@ -152,9 +162,9 @@ class TestCliCommands:
     def test_cover_none_with_schedule(self, capsys, monkeypatch):
         # Feasible degrees that all fail are rare, so stub the search to
         # pin down the reporting format on that path.
-        import orb2d.cli as cli
+        import orb2d.cover as cover
 
-        monkeypatch.setattr(cli, "manifold_cover_search", lambda s, n: None)
+        monkeypatch.setattr(cover, "manifold_cover_search", lambda s, n: None)
         code, out, _ = run(capsys, "cover", "O;g=0;cones=2,2,2,2", "--max-degree", "4")
         assert code == 0
         assert out.splitlines() == ["none", "tried degrees: 2, 4"]
@@ -258,6 +268,62 @@ class TestCatalogOptions:
             main(argv)
         assert exit_info.value.code == 2 and calls == []
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "reason, target",
+        [("No such file or directory", "missing/catalog.jsonl"), ("Is a directory", ".")],
+    )
+    def test_out_that_cannot_be_opened_exits_2(self, capsys, calls, tmp_path, reason, target):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "catalog", "--out", path)
+        assert (code, out, calls) == (EXIT_PARSE, "", [])  # refused before enumerating
+        assert err == f"cannot open --out {path!r}: {reason}\n"
+
+
+class TestCliProcess:
+    """The command line in a fresh process, which imports only what the
+    command does: a deferred import that is missing fails here, not in the
+    in-process tests, whose session has every module loaded."""
+
+    ENV = dict(os.environ, PYTHONPATH=str(Path(orb2d.__file__).resolve().parents[1]))
+
+    def start(self, argv, **kwargs):
+        command = [sys.executable, "-m", "orb2d.cli", *argv]
+        return subprocess.Popen(command, env=self.ENV, stderr=subprocess.PIPE, **kwargs)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "N;g=1;bdry=r(4)"],
+            ["euler", "N;g=1;bdry=r(4)"],
+            ["reduce", "N;g=1;bdry=r(4)"],
+            ["pi1", "N;g=1;bdry=r(4)"],
+            ["abel", "N;g=1;bdry=r(4)"],
+            ["cover", "O;g=0;cones=2,3,6"],
+            ["catalog", "--max-cones", "2", "--max-order", "3", "--orientable-only"],
+        ],
+    )
+    def test_command_matches_in_process_main(self, capsys, argv):
+        proc = self.start(argv, stdout=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == run(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv, read_first_line",
+        [
+            (["classify", "O;g=0;cones=2,3,7"], False),
+            # Megabytes of records, so the reader closes while the writer waits.
+            (["catalog", "--max-genus", "2", "--max-cones", "3", "--max-order", "5",
+              "--max-boundary", "2", "--max-corners", "2"], True),
+        ],
+    )
+    def test_closed_stdout_exits_141_quietly(self, argv, read_first_line):
+        proc = self.start(argv, stdout=subprocess.PIPE)
+        if read_first_line:  # as `| head -n 1` does
+            assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (EXIT_CLOSED_STDOUT, b"")
 
 
 class TestCliErrors:
