@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orb2d.catalog import CatalogBounds, catalog_records, circle_types, enumerate_signatures
 import orb2d
+from orb2d.catalog import CatalogBounds, catalog_records, circle_types, enumerate_signatures
 from orb2d.cli import (
     EXIT_CLOSED_STDOUT,
     EXIT_INCONSISTENT,
