@@ -153,14 +153,17 @@ def _catalog(args) -> int:
     bounds = CatalogBounds(*(getattr(args, field) for field in CatalogBounds._fields))
     to_file = args.out and args.out != "-"
     # Opened before the enumeration, so a path that cannot be written costs
-    # no work; it exits 2, as argparse does for a bad argument.
+    # no work (exit 2, as for a bad argument); mode "a" keeps a file's bytes
+    # until the records are built, so a failed theorem check leaves them.
     try:
-        out = open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout)
+        out = open(args.out, "a") if to_file else contextlib.nullcontext(sys.stdout)
     except OSError as err:
         print(f"cannot open --out {args.out!r}: {err.strerror}", file=sys.stderr)
         return EXIT_PARSE
     with out as stream:
         records, summary = catalog_records(bounds)
+        if to_file and os.path.isfile(args.out):
+            stream.truncate(0)  # as "w" would; a device or a pipe cannot be truncated
         for record in records:
             stream.write(json.dumps(record) + "\n")
     print(_fields_line(summary))

@@ -68,8 +68,8 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def cycles(p: Perm, include_fixed: bool = False) -> list[list[int]]:
-    """Disjoint cycles sorted by least element."""
+def cycles(p: Perm) -> list[list[int]]:
+    """Disjoint cycles of length at least 2, sorted by least element."""
     seen = [False] * len(p)
     out = []
     for start in range(len(p)):
@@ -82,7 +82,7 @@ def cycles(p: Perm, include_fixed: bool = False) -> list[list[int]]:
             seen[node] = True
             cyc.append(node)
             node = p[node]
-        if len(cyc) > 1 or include_fixed:
+        if len(cyc) > 1:
             out.append(cyc)
     return out
 
@@ -100,10 +100,6 @@ def _cycle_type(p: Perm) -> list[int]:
                 length += 1
             lengths.append(length)
     return sorted(lengths)
-
-
-def _uniform_cycle_length(p: Perm, length: int) -> bool:
-    return all(len(c) == length for c in cycles(p, include_fixed=True))
 
 
 class CoverWitness(NamedTuple):
@@ -141,26 +137,33 @@ def _relator_product(w: CoverWitness) -> Perm:
     return prod
 
 
-def _is_transitive(n: int, perms: list[Perm]) -> bool:
-    if n == 0:
-        return False
+def _orbit_size(n: int, tables: list) -> int:
+    """The size of the orbit of 0 through tables on n > 0 points, read in
+    their order; 0 as soon as a read meets an unset entry (-1)."""
     seen = [False] * n
     seen[0] = True
     frontier = [0]
     count = 1
     while frontier:
         node = frontier.pop()
-        for p in perms:
-            nxt = p[node]
+        for row in tables:
+            nxt = row[node]
+            if nxt == -1:
+                return 0
             if not seen[nxt]:
                 seen[nxt] = True
                 count += 1
                 frontier.append(nxt)
-    return count == n
+    return count
+
+
+def _is_transitive(n: int, tables: list) -> bool:
+    return n > 0 and _orbit_size(n, tables) == n
 
 
 def verify_witness(sig: Signature, w: CoverWitness) -> VerifyResult:
-    """Re-check all witness invariants, independently of the search.
+    """Re-check all witness invariants; the search shares only the
+    cycle-type and orbit walks.
 
     Diagnostics name the first failed invariant, in the order: uniform
     cycle type, relator, transitivity, Euler bookkeeping.
@@ -175,7 +178,7 @@ def verify_witness(sig: Signature, w: CoverWitness) -> VerifyResult:
             raise ValueError("permutation degree mismatch or non-bijective image")
 
     for x, p in zip(w.cone_images, sig.cones):
-        if not _uniform_cycle_length(x, p):
+        if set(_cycle_type(x)) - {p}:
             return VerifyResult(False, f"cycle type: a cone generator of order {p} has a cycle of other length")
     if _relator_product(w) != identity(w.degree):
         return VerifyResult(False, "relator: long relator does not act as the identity")
@@ -220,6 +223,8 @@ class _Search:
         self.orders = list(sig.cones) + [0] * (2 * g)
         self.ngens = len(self.orders)
         self.img = [[-1] * n for _ in range(self.ngens)]
+        # The later generators have fewer entries set: _dead_end reads them first.
+        self.later_first = self.img[::-1]
         self.pre = [[-1] * n for _ in range(self.ngens)]
         word: list[tuple[int, int]] = []
         for j in range(g):
@@ -372,18 +377,7 @@ class _Search:
                 ta = [row[x] for x in ta]
             if _cycle_type(self.img[gen - 1]) != _cycle_type(ta):
                 return True
-        seen, frontier = {0}, [0]
-        while frontier:
-            p = frontier.pop()
-            # The later generators have fewer entries set: read them first.
-            for row in reversed(self.img):
-                q = row[p]
-                if q == -1:
-                    return False
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        return len(seen) < self.n
+        return 0 < _orbit_size(self.n, self.later_first) < self.n
 
     def _undo(self, mark: int) -> None:
         """Clear the entries set since the trail had length mark."""
@@ -418,8 +412,8 @@ class _Search:
             top_gen, top_p = stack[-1][:2] if stack else (0, 0)
             slot = self._next_slot(top_gen, top_p)
             if slot is None:
-                if _is_transitive(n, perms := [tuple(row) for row in self.img]):
-                    return perms
+                if _is_transitive(n, self.img):
+                    return [tuple(row) for row in self.img]
             elif not self._dead_end(slot[0], top_gen):
                 gen, p = slot
                 stack.append([gen, p, max(used, (p // m + 1) * m), 0, len(self.trail)])
@@ -453,11 +447,14 @@ def _witness_from_perms(sig: Signature, n: int, perms: list[Perm]) -> CoverWitne
 
 
 def search_at_degree(sig: Signature, n: int) -> CoverWitness | None:
-    """Canonical deterministic search for a witness of exactly degree n.
+    """Canonical deterministic search for a witness of exactly degree n;
+    sig must be closed, orientable and cone-only (``sig.is_reduced``).
 
     A found witness is re-checked by :func:`verify_witness`; one that fails
     raises :class:`InternalInconsistencyError`.
     """
+    if not sig.is_reduced:
+        raise PreconditionError("cover search needs a closed orientable cone-only signature")
     perms = _Search(sig, n).run()
     if perms is None:
         return None

@@ -212,6 +212,24 @@ class TestCliCommands:
             record = json.loads(line)
             assert parse_signature(record["sig"])  # round-trips
 
+    def test_catalog_out_replaces_an_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "catalog.jsonl"
+        target.write_text("old line\n" * 100)
+        argv = ["catalog", "--max-cones", "2", "--max-order", "3", "--orientable-only"]
+        for _ in range(2):
+            assert run(capsys, *argv, "--out", str(target))[0] == 0
+            assert target.read_text() == "".join(
+                line + "\n" for line in run(capsys, *argv)[1].splitlines()[:-1]
+            )
+
+    def test_catalog_out_to_a_device(self, capsys):
+        # A device cannot be truncated; it is written to as it is.
+        assert run(capsys, "catalog", "--out", os.devnull) == (
+            0,
+            "total=1 good=1 bad=0 finite=1 infinite=0\n",
+            "",
+        )
+
     def test_catalog_deterministic(self, capsys):
         argv = ["catalog", "--max-genus", "1", "--max-cones", "2", "--max-punctures", "1"]
         first = run(capsys, *argv)
@@ -370,17 +388,27 @@ class TestCliErrors:
         assert code == EXIT_INCONSISTENT and not out
         assert err.startswith("internal consistency failure:") and "Traceback" not in err
 
-    def test_theorem_check_failure_exit_4(self, capsys, monkeypatch):
+    @pytest.fixture
+    def all_bad(self, monkeypatch):
         # The package attribute orb2d.classify is the function, not the module.
         module = sys.modules["orb2d.classify"]
         classify = module.classify
         monkeypatch.setattr(module, "classify", lambda s: classify(s)._replace(good=False))
-        argv = ["--max-genus", "1", "--max-cones", "2", "--max-order", "3", "--orientable-only"]
-        code, out, err = run(capsys, "catalog", *argv)
+        return ["catalog", "--max-genus", "1", "--max-cones", "2", "--max-order", "3", "--orientable-only"]
+
+    def test_theorem_check_failure_exit_4(self, capsys, all_bad):
+        code, out, err = run(capsys, *all_bad)
         assert (code, out) == (EXIT_INCONSISTENT, "")
         assert err == (
             "internal consistency failure: theorem check failed for O;g=1: a:infinite-implies-good\n"
         )
+
+    def test_theorem_check_failure_keeps_the_out_file(self, capsys, all_bad, tmp_path):
+        target = tmp_path / "catalog.jsonl"
+        target.write_bytes(b'{"sig": "O;g=0"}\n')
+        code, out, _ = run(capsys, *all_bad, "--out", str(target))
+        assert (code, out) == (EXIT_INCONSISTENT, "")
+        assert target.read_bytes() == b'{"sig": "O;g=0"}\n'
 
     @pytest.mark.parametrize(
         "text",

@@ -12,8 +12,8 @@ from orb2d.cover import (
     MAX_DEGREE,
     CoverWitness,
     VerifyResult,
-    _is_transitive,
     _cycle_type,
+    _orbit_size,
     _Search,
     compose,
     cycles,
@@ -55,6 +55,18 @@ class TestPermutationHelpers:
         p = perm_of_cycles(6, [[4, 5], [0, 2, 1]])
         assert cycles(p) == [[0, 2, 1], [4, 5]]
 
+    def test_orbit_size(self):
+        # Tables a = (0 1)(2 3) and b: the orbit of 0 is {0, 1} under a
+        # alone, and all four points once b joins 0 to 2.
+        a = [1, 0, 3, 2]
+        assert _orbit_size(4, [a]) == 2
+        assert _orbit_size(4, [a, [2, 1, 0, 3]]) == 4
+        # An unset entry (-1) read on the way gives 0; one outside the orbit
+        # is never read.
+        assert _orbit_size(4, [a, [2, 1, -1, 3]]) == 0
+        assert _orbit_size(4, [a, [0, 1, -1, 3]]) == 2
+        assert _orbit_size(4, []) == 1
+
 
 class TestDegreeSchedule:
     def test_spherical_degree_forced(self):
@@ -77,6 +89,26 @@ class TestDegreeSchedule:
     def test_rejects_non_reduced(self):
         with pytest.raises(PreconditionError):
             degree_schedule(sig("O;g=0;bdry=m"), 12)
+
+    @pytest.mark.parametrize(
+        "text,degree",
+        [
+            ("N;g=1;cones=3", 3),
+            ("O;g=0;pun=1;cones=2", 2),
+            ("O;g=0;bdry=m;cones=2,2", 2),
+            ("O;g=0;bdry=r(2)", 2),
+        ],
+    )
+    def test_search_at_degree_rejects_non_reduced(self, monkeypatch, text, degree):
+        # The tables read only the genus and the cones, so a search would
+        # answer for another signature; it is refused before one is built.
+        import orb2d.cover as cover
+
+        built = []
+        monkeypatch.setattr(cover, "_Search", lambda *args: built.append(args))
+        with pytest.raises(PreconditionError):
+            search_at_degree(sig(text), degree)
+        assert built == []
 
 
 class TestSearch:
@@ -210,8 +242,25 @@ class TestSearch:
         assert witness is not None and witness.degree == 1
 
 
+# The brute force has its own cycle and orbit walks, so that a fault in the
+# ones the search and the verifier share cannot hide from it.
 def is_uniform(p, order):
-    return all(len(c) == order for c in cycles(p, include_fixed=True))
+    """Every point, fixed points included, returns after exactly order steps."""
+    for start in range(len(p)):
+        x, steps = p[start], 1
+        while x != start:
+            x, steps = p[x], steps + 1
+        if steps != order:
+            return False
+    return True
+
+
+def is_transitive(n, perms):
+    """Whether the orbit of 0, grown until no generator adds a point, has n points."""
+    orbit = {0}
+    while (grown := orbit | {p[x] for p in perms for x in orbit}) != orbit:
+        orbit = grown
+    return len(orbit) == n
 
 
 def uniform_perms(n, order):
@@ -239,7 +288,7 @@ def brute_force_has_witness(s, n):
             picks += (last,)
         elif prod != identity(n):
             continue
-        if _is_transitive(n, list(picks)):
+        if is_transitive(n, picks):
             return True
     return False
 
