@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Each handler in :data:`COMMANDS` maps a signature to its JSON record and its
-text lines; :func:`main` prints one of them, so a failing command prints
-nothing on stdout.
+text lines, and ``catalog`` returns its summary in the same two forms;
+:func:`main` prints one of them, so a failing command prints nothing on
+stdout.
 
 Exit codes: 0 ok, 2 parse error or bad argument (a ``catalog --out`` that
 cannot be opened among them), 3 precondition violation, 4 internal
@@ -149,7 +150,9 @@ COMMANDS = {
 }
 
 
-def _catalog(args) -> int:
+def _catalog(args):
+    """Write the records; return the summary as a record and a text line, or
+    None when ``--out`` cannot be opened (said on stderr)."""
     bounds = CatalogBounds(*(getattr(args, field) for field in CatalogBounds._fields))
     to_file = args.out and args.out != "-"
     # Opened before the enumeration, so a path that cannot be written costs
@@ -159,15 +162,14 @@ def _catalog(args) -> int:
         out = open(args.out, "a") if to_file else contextlib.nullcontext(sys.stdout)
     except OSError as err:
         print(f"cannot open --out {args.out!r}: {err.strerror}", file=sys.stderr)
-        return EXIT_PARSE
+        return None
     with out as stream:
         records, summary = catalog_records(bounds)
         if to_file and os.path.isfile(args.out):
             stream.truncate(0)  # as "w" would; a device or a pipe cannot be truncated
         for record in records:
             stream.write(json.dumps(record) + "\n")
-    print(_fields_line(summary))
-    return 0
+    return summary, [_fields_line(summary)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,15 +207,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "catalog":
-            code = _catalog(args)
-        else:
-            record, lines = COMMANDS[args.command](parse_signature(args.signature), args)
-            # classify printed JSON before --format existed, so only an
-            # explicit --format text gives its text line.
-            fmt = getattr(args, "format", "json" if args.command == "classify" else "text")
-            print(json.dumps(record) if fmt == "json" else "\n".join(lines))
-            code = 0
+        if args.command != "catalog":
+            output = COMMANDS[args.command](parse_signature(args.signature), args)
+        elif (output := _catalog(args)) is None:
+            return EXIT_PARSE
+        record, lines = output
+        # classify printed JSON before --format existed, so only an
+        # explicit --format text gives its text line.
+        fmt = getattr(args, "format", "json" if args.command == "classify" else "text")
+        print(json.dumps(record) if fmt == "json" else "\n".join(lines))
         sys.stdout.flush()  # so a closed stdout raises here, not at exit
     except (SignatureSyntaxError, SignatureValueError) as err:
         print(f"parse error: {err}", file=sys.stderr)
@@ -232,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_CLOSED_STDOUT
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -47,8 +47,8 @@ from .signature import PreconditionError, Signature, format_rational, orbifold_e
 
 Perm = tuple[int, ...]
 
-# Largest max_degree that manifold_cover_search accepts: far above any degree
-# whose search finishes, and small enough to list the degree schedule.
+# Largest degree that search_at_degree and manifold_cover_search accept: far
+# above any degree whose search finishes, small enough to list the schedule.
 MAX_DEGREE = 10_000
 
 
@@ -191,30 +191,23 @@ def verify_witness(sig: Signature, w: CoverWitness) -> VerifyResult:
 
 
 def degree_schedule(sig: Signature, max_degree: int) -> list[int]:
-    """Feasible cover degrees, in increasing order.
-
-    Only multiples of lcm(cone orders) can admit uniform cycle types.
-    For chi > 0 any manifold cover is a sphere, forcing degree 2/chi;
-    for chi < 0 the degree must make degree * chi even (the cover's
-    Euler characteristic).
+    """Feasible cover degrees, in increasing order: the multiples n of every
+    cone order with n * chi an even integer at most 2, the Euler
+    characteristic 2 - 2g' of a closed orientable surface (Riemann-Hurwitz;
+    for chi > 0 that leaves only n = 2/chi).
     """
     if not sig.is_reduced:
         raise PreconditionError("cover search needs a closed orientable cone-only signature")
-    base = lcm(*sig.cones) if sig.cones else 1
-    chi = orbifold_euler(sig)
-    if chi > 0:
-        forced = Fraction(2) / chi
-        if forced.denominator == 1 and forced <= max_degree and forced % base == 0:
-            return [int(forced)]
-        return []
-    degrees = range(base, max_degree + 1, base)
-    if chi == 0:
-        return list(degrees)
-    return [n for n in degrees if (n * chi) % 2 == 0]
+    base, chi = lcm(*sig.cones), orbifold_euler(sig)
+    # n * chi = n * num / den, compared in integers: a Fraction per n is
+    # about 100 times slower.
+    num, twice_den = chi.numerator, 2 * chi.denominator
+    return [n for n in range(base, max_degree + 1, base) if n * num % twice_den == 0 and n * num <= twice_den]
 
 
 class _Search:
-    """Backtracking state for one degree; tables map points to images."""
+    """Backtracking state for one degree, a multiple of every cone order;
+    tables map points to images."""
 
     def __init__(self, sig: Signature, n: int):
         self.n = n
@@ -399,8 +392,6 @@ class _Search:
         # fills every table or contradicts, so no frame opens.
         n, stack = self.n, []
         m = self.orders[0] if self.orders and self.orders[0] else 1
-        if n % m:
-            return None
         for p in range(n):
             if (p + 1) % m:
                 self._assign(0, p, p + 1)  # the last link closes the block
@@ -446,15 +437,25 @@ def _witness_from_perms(sig: Signature, n: int, perms: list[Perm]) -> CoverWitne
     return CoverWitness(n, handle_images, cone_images, cover_euler, cover_genus)
 
 
+def _check_degree(name: str, n: int) -> None:
+    if not 1 <= n <= MAX_DEGREE:
+        raise PreconditionError(f"{name} must be between 1 and {MAX_DEGREE}")
+
+
 def search_at_degree(sig: Signature, n: int) -> CoverWitness | None:
     """Canonical deterministic search for a witness of exactly degree n;
-    sig must be closed, orientable and cone-only (``sig.is_reduced``).
+    sig must be closed, orientable and cone-only (``sig.is_reduced``), and
+    n between 1 and MAX_DEGREE.  A degree that some cone order does not
+    divide returns None without a search.
 
     A found witness is re-checked by :func:`verify_witness`; one that fails
     raises :class:`InternalInconsistencyError`.
     """
     if not sig.is_reduced:
         raise PreconditionError("cover search needs a closed orientable cone-only signature")
+    _check_degree("degree", n)
+    if n % lcm(*sig.cones):
+        return None
     perms = _Search(sig, n).run()
     if perms is None:
         return None
@@ -472,10 +473,7 @@ def manifold_cover_search(sig: Signature, max_degree: int) -> CoverWitness | Non
     search order, or None if no feasible degree up to max_degree admits
     one.  max_degree must be between 1 and MAX_DEGREE.
     """
-    if max_degree < 1:
-        raise PreconditionError("max_degree must be at least 1")
-    if max_degree > MAX_DEGREE:
-        raise PreconditionError(f"max_degree must be at most {MAX_DEGREE}")
+    _check_degree("max_degree", max_degree)
     for n in degree_schedule(sig, max_degree):
         witness = search_at_degree(sig, n)
         if witness is not None:

@@ -191,6 +191,20 @@ class TestCliCommands:
         assert lines[-1] == "total=6 good=3 bad=3 finite=6 infinite=0"
         assert json.loads(lines[0])["sig"] == "O;g=0"
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "text"], ["--format", "json"]])
+    def test_catalog_summary_follows_the_format(self, capsys, fmt):
+        # The records are JSON Lines in every form; only the summary follows --format.
+        argv = ["catalog", "--max-cones", "2", "--max-order", "3", "--orientable-only"]
+        code, out, _ = run(capsys, *fmt, *argv)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 7
+        assert [json.loads(line)["sig"] for line in lines[:2]] == ["O;g=0", "O;g=0;cones=2"]
+        summary = {"total": 6, "good": 3, "bad": 3, "finite": 6, "infinite": 0}
+        if fmt[-1:] == ["json"]:
+            assert json.loads(lines[-1]) == summary
+        else:
+            assert lines[-1] == "total=6 good=3 bad=3 finite=6 infinite=0"
+
     def test_catalog_out_file(self, capsys, tmp_path):
         target = tmp_path / "catalog.jsonl"
         code, out, _ = run(

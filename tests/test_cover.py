@@ -68,6 +68,31 @@ class TestPermutationHelpers:
         assert _orbit_size(4, []) == 1
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of every _Search built, in place of the search."""
+    import orb2d.cover as cover
+
+    calls = []
+    monkeypatch.setattr(cover, "_Search", lambda *args: calls.append(args))
+    return calls
+
+
+def reference_schedule(s, max_degree):
+    """The degrees n <= max_degree that every cone order divides and with
+    n * chi in {2, 0, -2, ...}, the Euler characteristic of a closed
+    orientable surface."""
+    chi = orbifold_euler(s)
+    return [
+        n
+        for n in range(1, max_degree + 1)
+        if all(n % p == 0 for p in s.cones)
+        and (n * chi).denominator == 1
+        and n * chi <= 2
+        and n * chi % 2 == 0
+    ]
+
+
 class TestDegreeSchedule:
     def test_spherical_degree_forced(self):
         assert degree_schedule(sig("O;g=0;cones=2,2,3"), 12) == [6]
@@ -86,6 +111,20 @@ class TestDegreeSchedule:
     def test_max_degree_below_lcm(self):
         assert degree_schedule(sig("O;g=0;cones=2,2,2,2"), 1) == []
 
+    def test_matches_its_definition(self):
+        from orb2d.catalog import enumerate_signatures
+
+        compared = 0
+        for s in enumerate_signatures(CONE_BOUNDS):
+            reference = reference_schedule(s, 60)
+            for max_degree in range(1, 61):
+                assert degree_schedule(s, max_degree) == [n for n in reference if n <= max_degree], s
+                compared += 1
+        assert compared == 378 * 60
+        for text in ["O;g=0", "O;g=1", "O;g=2;cones=2,3"]:
+            s = sig(text)
+            assert degree_schedule(s, MAX_DEGREE) == reference_schedule(s, MAX_DEGREE), text
+
     def test_rejects_non_reduced(self):
         with pytest.raises(PreconditionError):
             degree_schedule(sig("O;g=0;bdry=m"), 12)
@@ -99,16 +138,32 @@ class TestDegreeSchedule:
             ("O;g=0;bdry=r(2)", 2),
         ],
     )
-    def test_search_at_degree_rejects_non_reduced(self, monkeypatch, text, degree):
+    def test_search_at_degree_rejects_non_reduced(self, built, text, degree):
         # The tables read only the genus and the cones, so a search would
         # answer for another signature; it is refused before one is built.
-        import orb2d.cover as cover
-
-        built = []
-        monkeypatch.setattr(cover, "_Search", lambda *args: built.append(args))
         with pytest.raises(PreconditionError):
             search_at_degree(sig(text), degree)
         assert built == []
+
+    @pytest.mark.parametrize("search", [search_at_degree, manifold_cover_search])
+    @pytest.mark.parametrize("degree", [0, -1, MAX_DEGREE + 1])
+    def test_degree_out_of_range_refused(self, built, search, degree):
+        with pytest.raises(PreconditionError, match=f"must be between 1 and {MAX_DEGREE}"):
+            search(sig("O;g=1"), degree)
+        assert built == []
+
+    def test_non_divisible_degree_ends_before_the_search(self, built):
+        # A cone generator of order p has only p-cycles, so p divides n;
+        # every cone is tested, not only the first, whose blocks run sets.
+        from orb2d.catalog import enumerate_signatures
+
+        calls = 0
+        for s in enumerate_signatures(CONE_BOUNDS):
+            for n in range(1, 13):
+                if any(n % p for p in s.cones):
+                    assert search_at_degree(s, n) is None
+                    calls += 1
+        assert calls == 4017 and built == []
 
 
 class TestSearch:
