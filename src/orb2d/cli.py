@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Each handler in :data:`COMMANDS` maps a signature to its JSON record and its
-text lines, and ``catalog`` returns its summary in the same two forms;
-:func:`main` prints one of them, so a failing command prints nothing on
-stdout.
+text lines, as ``_catalog`` does its summary; :func:`main` prints one of
+them, so a failing command prints nothing on stdout.
 
 Exit codes: 0 ok, 2 parse error or bad argument (a ``catalog --out`` that
 cannot be opened among them), 3 precondition violation, 4 internal
@@ -151,8 +150,7 @@ COMMANDS = {
 
 
 def _catalog(args):
-    """Write the records; return the summary as a record and a text line, or
-    None when ``--out`` cannot be opened (said on stderr)."""
+    """Write the records; return the summary's record and text line, or None if --out fails to open."""
     bounds = CatalogBounds(*(getattr(args, field) for field in CatalogBounds._fields))
     to_file = args.out and args.out != "-"
     # Opened before the enumeration, so a path that cannot be written costs
