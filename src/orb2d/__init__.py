@@ -13,6 +13,7 @@ a patch of ``orb2d.cover.<name>`` or ``orb2d.reduce.<name>`` shows through
 """
 import sys
 from importlib import import_module
+from types import ModuleType
 
 from .classify import Classification, Geometry, classify, is_bad_closed, theorem_check
 from .group import (
@@ -56,12 +57,18 @@ _LAZY = {
 }
 
 
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _lazy(module: str, name: str) -> property:
     # sys.modules first: import_module on a loaded module nearly doubles a lookup.
-    return getattr(sys.modules.get(module) or import_module(module), name)
+    return property(lambda _: getattr(sys.modules.get(module) or import_module(module), name))
+
+
+# Each lazy name is a property of the package's class, so the normal
+# attribute lookup finds it. A module __getattr__ runs only after that
+# lookup fails, which on Python 3.11 builds and clears an AttributeError on
+# every access.
+sys.modules[__name__].__class__ = type(
+    "_Package", (ModuleType,), {name: _lazy(module, name) for name, module in _LAZY.items()}
+)
 
 
 def __dir__():

@@ -28,7 +28,13 @@ The deduction skips the scans that cannot deduce: while the table of the
 last handle generator b has no entry, no rotation of the long relator can
 be read to within one letter of closing, since b and b^-1 are two of its
 letters, so the entries set meanwhile are not scanned.  A scan that later
-deduces reads through an entry of b, whose own scans cover it.
+deduces reads through an entry of b, whose own scans cover it.  Likewise
+x_1 is written into its tables with no scan when the relator has three
+letters or more: a scan from an x_1 entry stops forwards at the next
+letter and backwards at the last, leaving at least two letters unread, so
+it can neither deduce nor contradict, and a later scan that can reads
+through a newer entry.  With one or two letters, the scans from x_1
+refute the teardrop or deduce x_2 = x_1^-1 on the two-cone sphere.
 
 The search state is the tables, one trail of the entries set in them and
 an explicit stack of open branches, so Python's recursion limit does not
@@ -194,8 +200,10 @@ def degree_schedule(sig: Signature, max_degree: int) -> list[int]:
     """Feasible cover degrees, in increasing order: the multiples n of every
     cone order with n * chi an even integer at most 2, the Euler
     characteristic 2 - 2g' of a closed orientable surface (Riemann-Hurwitz;
-    for chi > 0 that leaves only n = 2/chi).
+    for chi > 0 that leaves only n = 2/chi).  max_degree must be between 1
+    and MAX_DEGREE.
     """
+    _check_degree("max_degree", max_degree)
     if not sig.is_reduced:
         raise PreconditionError("cover search needs a closed orientable cone-only signature")
     base, chi = lcm(*sig.cones), orbifold_euler(sig)
@@ -232,11 +240,13 @@ class _Search:
         doubled = word + word
         self.fwd = [self.img[gen] if sign > 0 else self.pre[gen] for gen, sign in doubled]
         self.bwd = [self.pre[gen] if sign > 0 else self.img[gen] for gen, sign in doubled]
-        # Rotations that begin with each generator, and with its inverse.
-        self.starts: list[list[int]] = [[] for _ in range(self.ngens)]
-        self.inverse_starts: list[list[int]] = [[] for _ in range(self.ngens)]
+        # The rotations scanned from a new entry img[gen][p] = q, one list
+        # per generator: r for the rotation that begins with gen at letter
+        # r, scanned from p, and ~r for one that begins with gen^-1, scanned
+        # from q (plain ints: a tuple per letter costs memory at large genus).
+        self.scans: list[list[int]] = [[] for _ in range(self.ngens)]
         for r, (gen, sign) in enumerate(word):
-            (self.starts if sign > 0 else self.inverse_starts)[gen].append(r)
+            self.scans[gen].append(r if sign > 0 else ~r)
         # The letters x_1 .. x_k [a_1, b_1] .. [a_{g-1}, b_{g-1}] a_g of the
         # doubled word, whose product is T a in _dead_end.
         self.ta_tables = self.fwd[4 * g : len(word) + 4 * g - 3]
@@ -285,7 +295,8 @@ class _Search:
         rotations through a new entry img[gen][p] = q are those that begin
         with gen, scanned from p, and with gen^-1, scanned from q.  So head
         at the end of the trail is the fixed point of rescanning every
-        rotation from every point; False means a contradiction.
+        rotation from every point.  False means a contradiction; head is
+        then left behind, for the caller's undo resets it.
 
         A scan from alpha of the rotation that begins at letter r reads
         forwards from r and backwards from r + len(word) - 1 as far as the
@@ -303,39 +314,43 @@ class _Search:
         that begin with b and from q in those that begin with b^-1.  So
         head at the end of the trail still means the fixed point.
         """
-        trail, fwd, bwd, word = self.trail, self.fwd, self.bwd, self.word
+        trail, fwd, bwd, word, scans = self.trail, self.fwd, self.bwd, self.word, self.scans
         if self.last_row is not None and self.last_row.count(-1) == self.n:
             self.head = len(trail)
             return True
-        length = len(word)
-        while self.head < len(trail):
-            gen, p, q = trail[self.head]
-            self.head += 1
-            for alpha, starts in ((p, self.starts[gen]), (q, self.inverse_starts[gen])):
-                for start in starts:
-                    end = start + length
-                    f, i = alpha, start
-                    while i < end:
-                        nxt = fwd[i][f]
-                        if nxt == -1:
-                            break
-                        f = nxt
-                        i += 1
-                    else:
-                        if f != alpha:
-                            return False
-                        continue
-                    b, j = alpha, end - 1
-                    while j > i:
-                        prv = bwd[j][b]
-                        if prv == -1:
-                            break
-                        b = prv
-                        j -= 1
-                    else:
-                        letter, sign = word[i % length]
-                        if not (self._assign(letter, f, b) if sign > 0 else self._assign(letter, b, f)):
-                            return False
+        assign, head, length = self._assign, self.head, len(word)
+        while head < len(trail):
+            gen, p, q = trail[head]
+            head += 1
+            for start in scans[gen]:
+                if start < 0:
+                    start, alpha = ~start, q
+                else:
+                    alpha = p
+                end = start + length
+                f, i = alpha, start
+                while i < end:
+                    nxt = fwd[i][f]
+                    if nxt == -1:
+                        break
+                    f = nxt
+                    i += 1
+                else:
+                    if f != alpha:
+                        return False
+                    continue
+                b, j = alpha, end - 1
+                while j > i:
+                    prv = bwd[j][b]
+                    if prv == -1:
+                        break
+                    b = prv
+                    j -= 1
+                else:
+                    letter, sign = word[i % length]
+                    if not (assign(letter, f, b) if sign > 0 else assign(letter, b, f)):
+                        return False
+        self.head = head
         return True
 
     def _next_slot(self, gen: int, p: int) -> tuple[int, int] | None:
@@ -374,14 +389,20 @@ class _Search:
 
     def _undo(self, mark: int) -> None:
         """Clear the entries set since the trail had length mark."""
-        trail = self.trail
+        trail, img, pre = self.trail, self.img, self.pre
         for gen, p, q in trail[mark:]:
-            self.img[gen][p] = -1
-            self.pre[gen][q] = -1
+            img[gen][p] = -1
+            pre[gen][q] = -1
         del trail[mark:]
         self.head = mark
 
     def run(self) -> list[Perm] | None:
+        # x_1 goes straight into its tables and the trail, in the order in
+        # which _assign would set it: each block's links, then the link that
+        # closes it.  The first propagation runs only for a relator of one or
+        # two letters; with more, no scan from an x_1 entry can deduce or
+        # contradict (see the module docstring), so head skips them.
+        #
         # A frame [gen, p, used, next q, trail mark] tries images q <= used
         # for slot (gen, p): the points 0 .. used - 1 in use, and the first
         # point of the next block.  used is the end of the blocks that the
@@ -390,34 +411,41 @@ class _Search:
         # at 0: from x_1 alone the relator deduces another generator's
         # entries only on the two-cone sphere (x_1 x_2 = 1), and there it
         # fills every table or contradicts, so no frame opens.
-        n, stack = self.n, []
+        n, stack, trail, img, pres = self.n, [], self.trail, self.img, self.pre
+        next_slot, dead_end, assign, propagate, undo = (
+            self._next_slot, self._dead_end, self._assign, self._propagate, self._undo
+        )
         m = self.orders[0] if self.orders and self.orders[0] else 1
-        for p in range(n):
-            if (p + 1) % m:
-                self._assign(0, p, p + 1)  # the last link closes the block
-        if not self._propagate():
+        if m > 1:
+            for p in range(n):
+                q = p + 1 if (p + 1) % m else p + 1 - m
+                img[0][p], pres[0][q] = q, p
+                trail.append((0, p, q))
+        if len(self.word) > 2:
+            self.head = len(trail)
+        elif not propagate():
             return None
-        used = 0
+        used = gen = p = 0
         while True:
-            # Every slot before the deepest frame's is full.
-            top_gen, top_p = stack[-1][:2] if stack else (0, 0)
-            slot = self._next_slot(top_gen, top_p)
+            # Every slot before the deepest frame's, (gen, p), is full.
+            slot = next_slot(gen, p)
             if slot is None:
-                if _is_transitive(n, self.img):
-                    return [tuple(row) for row in self.img]
-            elif not self._dead_end(slot[0], top_gen):
+                if _is_transitive(n, img):
+                    return [tuple(row) for row in img]
+            elif not dead_end(slot[0], gen):
                 gen, p = slot
-                stack.append([gen, p, max(used, (p // m + 1) * m), 0, len(self.trail)])
+                stack.append([gen, p, max(used, (p // m + 1) * m), 0, len(trail)])
             # Take the next image of the deepest open branch that has one.
             while stack:
                 gen, p, used, q, mark = frame = stack[-1]
-                self._undo(mark)
-                pre = self.pre[gen]
+                if len(trail) > mark:
+                    undo(mark)
+                pre = pres[gen]
                 for q in range(q, min(used + 1, n)):
                     if pre[q] == -1:
-                        if self._assign(gen, p, q) and self._propagate():
+                        if assign(gen, p, q) and propagate():
                             break
-                        self._undo(mark)
+                        undo(mark)
                 else:
                     stack.pop()
                     continue
@@ -473,7 +501,6 @@ def manifold_cover_search(sig: Signature, max_degree: int) -> CoverWitness | Non
     search order, or None if no feasible degree up to max_degree admits
     one.  max_degree must be between 1 and MAX_DEGREE.
     """
-    _check_degree("max_degree", max_degree)
     for n in degree_schedule(sig, max_degree):
         witness = search_at_degree(sig, n)
         if witness is not None:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -145,8 +146,8 @@ class TestDegreeSchedule:
             search_at_degree(sig(text), degree)
         assert built == []
 
-    @pytest.mark.parametrize("search", [search_at_degree, manifold_cover_search])
-    @pytest.mark.parametrize("degree", [0, -1, MAX_DEGREE + 1])
+    @pytest.mark.parametrize("search", [search_at_degree, manifold_cover_search, degree_schedule])
+    @pytest.mark.parametrize("degree", [0, -1, MAX_DEGREE + 1, 10**6])
     def test_degree_out_of_range_refused(self, built, search, degree):
         with pytest.raises(PreconditionError, match=f"must be between 1 and {MAX_DEGREE}"):
             search(sig("O;g=1"), degree)
@@ -423,35 +424,62 @@ class TestHandleSlotCuts:
             assert search._dead_end(1, 1) == dead
 
 
-# perfbench's cover_certify ladder, copied so that the tests do not import
-# the benchmark.
-CERTIFY_LADDER = (
-    "O;g=0;cones=2,2,2,2",
-    "O;g=0;cones=3,3,3",
-    "O;g=0;cones=2,4,4",
-    "O;g=0;cones=2,3,6",
-    "O;g=0;cones=2,2,3",
-    "O;g=1",
-    "O;g=1;cones=2",
-    "O;g=0;cones=2,5,5",
-    "O;g=0;cones=3,3,4",
-    "O;g=0;cones=2,3,4",
-    "O;g=0;cones=3,4,4",
-    "O;g=0;cones=3,3,7",
-    "O;g=0;cones=4,5,5",
-    "O;g=0;cones=2,3,10",
-    "O;g=0;cones=2,3,12",
-    "O;g=0;cones=2,5,6",
-    "O;g=0;cones=2,7,7",
-    "O;g=0;cones=2,4,10",
-    "O;g=0;cones=3,6,9",
-    "O;g=0;cones=2,9,9",
-    "O;g=0;cones=3,3,8",
-    "O;g=0;cones=2,3,14",
-    "O;g=0;cones=2,6,8",
-    "O;g=0;cones=2,4,5",
-    "O;g=0;cones=2,6,10",
+# perfbench's cover_certify and cover_refute ladders, copied so that the
+# tests do not import the benchmark.  Each rung is a signature and a degree,
+# the calls of _Search._next_slot and _Search._dead_end while that degree is
+# searched, and the first 12 hex digits of the SHA-256 of the witness
+# record, or None where theory rules out a witness.  The two counts pin the
+# search tree: a node opens one frame or reaches a leaf, so a change that
+# tries another image, or skips one, moves them.
+LADDER_RUNGS = (
+    ("O;g=0;cones=2,2,2,2", 2, 3, 2, "3cc089965250"),
+    ("O;g=0;cones=3,3,3", 3, 3, 2, "cac3b002366b"),
+    ("O;g=0;cones=2,4,4", 4, 4, 3, "409b228716fc"),
+    ("O;g=0;cones=2,3,6", 6, 5, 4, "635fad4dcc1e"),
+    ("O;g=0;cones=2,2,3", 6, 3, 2, "fafb66c02ccb"),
+    ("O;g=1", 1, 3, 2, "695bcf7bc61d"),
+    ("O;g=1;cones=2", 4, 10, 9, "192f05f552f8"),
+    ("O;g=0;cones=2,5,5", 20, 16, 15, "12fcfc3f7787"),
+    ("O;g=0;cones=3,3,4", 24, 13, 12, "e2bc9447ff80"),
+    ("O;g=0;cones=2,3,4", 24, 14, 13, "9f284f3b41ae"),
+    ("O;g=0;cones=3,4,4", 12, 12, 11, "d3654bd285f7"),
+    ("O;g=0;cones=3,3,7", 21, 14, 13, "610c1252e33b"),
+    ("O;g=0;cones=4,5,5", 40, 27, 26, "2455ebb88981"),
+    ("O;g=0;cones=2,3,10", 30, 22, 21, "3db411293340"),
+    ("O;g=0;cones=2,3,12", 24, 16, 15, "2908a596b3ae"),
+    ("O;g=0;cones=2,5,6", 30, 24, 23, "992928921940"),
+    ("O;g=0;cones=2,7,7", 28, 25, 24, "450c695d107a"),
+    ("O;g=0;cones=2,4,10", 40, 28, 27, "b38f569ca673"),
+    ("O;g=0;cones=3,6,9", 36, 28, 27, "b349a902adef"),
+    ("O;g=0;cones=2,9,9", 36, 33, 32, "3e61595d743d"),
+    ("O;g=0;cones=3,3,8", 48, 28, 27, "b7feb2ff2cfc"),
+    ("O;g=0;cones=2,3,14", 42, 30, 29, "6f6e6ec65e54"),
+    ("O;g=0;cones=2,6,8", 48, 38, 37, "1bdd4f933191"),
+    ("O;g=0;cones=2,4,5", 40, 30, 29, "e6f375995bbf"),
+    ("O;g=0;cones=2,6,10", 60, 51, 50, "6f87d3119932"),
+    ("O;g=0;cones=3", 3, 0, 0, None),
+    ("O;g=0;cones=2,3", 6, 0, 0, None),
+    ("O;g=0;cones=2,6,6", 6, 14, 14, None),
+    ("O;g=0;cones=2,2,2,3", 6, 16, 16, None),
+    ("O;g=0;cones=2,3,8", 8, 0, 0, None),
+    ("O;g=1;cones=6", 6, 1957, 1957, None),
+    ("O;g=1;cones=2", 6, 342, 342, None),
+    ("O;g=0;cones=2,5,5", 10, 77, 77, None),
 )
+CERTIFY_LADDER = tuple(text for text, *_, digest in LADDER_RUNGS if digest)
+
+
+def count_calls(monkeypatch, *names):
+    """A Counter of the calls of the named _Search methods from now on."""
+    calls = collections.Counter()
+    for name in names:
+
+        def counted(search, *args, name=name, method=getattr(_Search, name)):
+            calls[name] += 1
+            return method(search, *args)
+
+        monkeypatch.setattr(_Search, name, counted)
+    return calls
 
 
 class TestPinnedWitnesses:
@@ -462,6 +490,16 @@ class TestPinnedWitnesses:
             witnesses.append(manifold_cover_search(s, degree_schedule(s, 64)[0]))
         digest = hashlib.sha256(json.dumps([w.to_record() for w in witnesses]).encode()).hexdigest()
         assert digest == "ff4e230521d15551b56ae148db981549107c1ab3f48e4eb161921994478ab192"
+
+    @pytest.mark.parametrize(
+        "text,degree,next_slots,dead_ends,digest", LADDER_RUNGS, ids=[f"{t}@{n}" for t, n, *_ in LADDER_RUNGS]
+    )
+    def test_ladder_search_trees_unchanged(self, monkeypatch, text, degree, next_slots, dead_ends, digest):
+        calls = count_calls(monkeypatch, "_next_slot", "_dead_end")
+        witness = search_at_degree(sig(text), degree)
+        found = witness and hashlib.sha256(json.dumps(witness.to_record()).encode()).hexdigest()[:12]
+        assert (calls["_next_slot"], calls["_dead_end"]) == (next_slots, dead_ends)
+        assert found == digest
 
     @pytest.mark.parametrize(
         "text,degree",

@@ -4,6 +4,7 @@ The package loads only the classifier layers; the cover and reduce names
 load their module on first use. The import checks run in a fresh
 interpreter, since this test session has imported every module already.
 """
+import importlib
 import os
 import subprocess
 import sys
@@ -101,3 +102,14 @@ def test_module_patch_shows_through_and_is_undone(monkeypatch, module, name):
         assert getattr(orb2d, name) is stub
     assert getattr(orb2d, name) is original
     assert name not in vars(orb2d)
+
+
+@pytest.mark.parametrize(
+    "name, module",
+    [("manifold_cover_search", "orb2d.cover"), ("reduce_to_closed", "orb2d.reduce")],
+)
+def test_lazy_name_found_by_the_normal_lookup(name, module):
+    # A module __getattr__ runs only after the normal lookup has raised an
+    # AttributeError, which Python 3.11 builds and clears on every access;
+    # object.__getattribute__ is that lookup alone, with no fallback.
+    assert object.__getattribute__(orb2d, name) is getattr(importlib.import_module(module), name)
