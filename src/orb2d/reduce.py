@@ -3,12 +3,17 @@
 Four transforms, applied in a fixed order when applicable:
 
 1. orientation double (non-orientable input; 2-sheeted orbifold cover),
-2. double along mirror boundary (2-sheeted orbifold cover; corner
-   reflectors of order n fold to cone points of order n),
+2. double along mirror boundary (2-sheeted orbifold cover),
 3. end truncation (punctures become manifold boundary circles; same
    orbifold, recompactified),
 4. double along manifold boundary (the input sits inside the double as a
-   suborbifold; cone points are duplicated).
+   suborbifold).
+
+The three doubles follow one rule (Scott 1983, section 2). The circles
+doubled along vanish, and each of their corner reflectors of order n folds
+into one cone point of order n. Every other circle, every cone point and
+every puncture is duplicated. The double is orientable, of genus h - 1 for
+h crosscaps, or 2g + c - 1 for orientable genus g with c circles folded.
 
 Every doubling step doubles the orbifold Euler characteristic exactly;
 end truncation preserves it.
@@ -16,7 +21,6 @@ end truncation preserves it.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
 from typing import NamedTuple
 
 from .signature import (
@@ -70,51 +74,41 @@ class ReductionTrace(NamedTuple):
         return self.steps[-1].result if self.steps else self.start
 
 
-def orientation_double(sig: Signature) -> ReductionStep:
-    """Pass to the orientation double: crosscap count h gives genus h-1.
+def _has_mirror(sig: Signature) -> bool:
+    """Whether a mirror circle is present. Canonical order puts manifold
+    circles first, so it is exactly when the last circle is one."""
+    return bool(sig.boundary) and sig.boundary[-1].kind == MIRROR
 
-    Boundary circles and cone points are duplicated, punctures doubled.
-    """
+
+def _double(sig: Signature, kind: StepKind, along: str | None = None) -> ReductionStep:
+    """The double along every circle of kind ``along`` (none if ``None``)."""
+    kept = []
+    cones = list(sig.cones) * 2
+    for circle in sig.boundary:
+        if circle.kind == along:
+            cones += circle.corners
+        else:
+            kept += circle, circle
+    cones.sort()
+    folded = len(sig.boundary) - len(kept) // 2
+    genus = 2 * sig.genus + folded - 1 if sig.orientable else sig.genus - 1
+    return ReductionStep(kind, Signature(True, genus, 2 * sig.punctures, tuple(kept), tuple(cones)))
+
+
+def orientation_double(sig: Signature) -> ReductionStep:
+    """Pass to the orientation double, along no circle."""
     if sig.orientable:
         raise PreconditionError("orientation double needs non-orientable input")
-    result = Signature(
-        orientable=True,
-        genus=sig.genus - 1,
-        punctures=2 * sig.punctures,
-        boundary=tuple(chain.from_iterable((c, c) for c in sig.boundary)),
-        cones=tuple(chain.from_iterable((p, p) for p in sig.cones)),
-    )
-    return ReductionStep(StepKind.ORIENTATION_DOUBLE, result)
+    return _double(sig, StepKind.ORIENTATION_DOUBLE)
 
 
 def mirror_double(sig: Signature) -> ReductionStep:
-    """Double along all mirror circles.
-
-    With r mirror circles the genus becomes 2g + r - 1; manifold circles
-    and punctures double; each corner reflector of order n contributes a
-    cone point of order n alongside the duplicated original cones.
-    """
+    """Double along all mirror circles; manifold circles are duplicated."""
     if not sig.orientable:
         raise PreconditionError("mirror double needs orientable input")
-    manifold_count = 0
-    cones = list(sig.cones) + list(sig.cones)
-    for circle in sig.boundary:
-        if circle.kind == MANIFOLD:
-            manifold_count += 1
-        else:
-            cones.extend(circle.corners)
-    mirror_count = len(sig.boundary) - manifold_count
-    if not mirror_count:
+    if not _has_mirror(sig):
         raise PreconditionError("mirror double needs at least one mirror circle")
-    cones.sort()
-    result = Signature(
-        orientable=True,
-        genus=2 * sig.genus + mirror_count - 1,
-        punctures=2 * sig.punctures,
-        boundary=(_M_CIRCLE,) * (2 * manifold_count),
-        cones=tuple(cones),
-    )
-    return ReductionStep(StepKind.MIRROR_DOUBLE, result)
+    return _double(sig, StepKind.MIRROR_DOUBLE, MIRROR)
 
 
 def end_cut(sig: Signature) -> ReductionStep:
@@ -122,38 +116,23 @@ def end_cut(sig: Signature) -> ReductionStep:
     if sig.punctures == 0:
         raise PreconditionError("end cut needs at least one puncture")
     result = Signature(
-        orientable=sig.orientable,
-        genus=sig.genus,
-        punctures=0,
-        boundary=(_M_CIRCLE,) * sig.punctures + sig.boundary,
-        cones=sig.cones,
+        sig.orientable, sig.genus, 0, (_M_CIRCLE,) * sig.punctures + sig.boundary, sig.cones
     )
     return ReductionStep(StepKind.END_CUT, result)
 
 
 def manifold_double(sig: Signature) -> ReductionStep:
-    """Double along all manifold boundary circles.
-
-    With b circles the genus becomes 2g + b - 1 and the cone multiset is
-    duplicated; the result is closed.
-    """
+    """Double along all manifold circles, which must be the whole boundary
+    of a puncture-free input; the result is closed."""
     if not sig.orientable:
         raise PreconditionError("manifold double needs orientable input")
-    if sig.boundary and sig.boundary[-1].kind == MIRROR:
+    if _has_mirror(sig):
         raise PreconditionError("manifold double needs mirror-free input")
     if sig.punctures:
         raise PreconditionError("manifold double needs puncture-free input")
-    b = len(sig.boundary)
-    if b == 0:
+    if not sig.boundary:
         raise PreconditionError("manifold double needs at least one boundary circle")
-    result = Signature(
-        orientable=True,
-        genus=2 * sig.genus + b - 1,
-        punctures=0,
-        boundary=(),
-        cones=tuple(chain.from_iterable((p, p) for p in sig.cones)),
-    )
-    return ReductionStep(StepKind.MANIFOLD_DOUBLE, result)
+    return _double(sig, StepKind.MANIFOLD_DOUBLE, MANIFOLD)
 
 
 def reduce_to_closed(sig: Signature) -> ReductionTrace:
@@ -164,9 +143,7 @@ def reduce_to_closed(sig: Signature) -> ReductionTrace:
         step = orientation_double(current)
         steps.append(step)
         current = step.result
-    # Canonical order puts manifold circles first, so a mirror circle is
-    # present exactly when the last circle is one.
-    if current.boundary and current.boundary[-1].kind == MIRROR:
+    if _has_mirror(current):
         step = mirror_double(current)
         steps.append(step)
         current = step.result

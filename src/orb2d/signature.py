@@ -152,15 +152,23 @@ def orbifold_euler(sig: Signature) -> Fraction:
     ``p`` and half that per corner reflector.
     """
     # Accumulate the singular corrections over a running denominator to
-    # avoid per-term Fraction normalization.
+    # avoid per-term Fraction normalization.  The denominator grows only by
+    # an order that does not divide it, so repeated orders keep it small
+    # and the time linear in the number of cones and corners.
     num, den = 0, 1
     for p in sig.cones:
-        num = num * p + (p - 1) * den
-        den *= p
+        if den % p:
+            num = num * p + (p - 1) * den
+            den *= p
+        else:
+            num += (p - 1) * (den // p)
     for circle in sig.boundary:
         for n in circle.corners:
-            num = num * 2 * n + (n - 1) * den
-            den *= 2 * n
+            if den % (2 * n):
+                num = num * 2 * n + (n - 1) * den
+                den *= 2 * n
+            else:
+                num += (n - 1) * (den // (2 * n))
     return Fraction(underlying_euler(sig) * den - num, den)
 
 

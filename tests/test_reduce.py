@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
 from conftest import signatures
+from orb2d.catalog import CatalogBounds, enumerate_signatures
 from orb2d.reduce import (
     Relationship,
     StepKind,
@@ -193,3 +195,28 @@ class TestPipeline:
         duplicating = {StepKind.MANIFOLD_DOUBLE, StepKind.ORIENTATION_DOUBLE}
         if trace.steps and trace.steps[-1].kind in duplicating:
             assert len(trace.final.cones) % 2 == 0
+
+
+# Every step of every signature in these bounds, one line per step.  A
+# double that keeps χ but not the signature (four order-2 corners turned
+# into one more handle, say) passes the χ tests above and fails here.
+TRACE_BOUNDS = CatalogBounds(
+    max_genus=1,
+    max_cones=2,
+    max_order=4,
+    max_boundary=2,
+    max_corners_per_circle=3,
+    max_punctures=1,
+)
+TRACE_DIGEST = "f99dc3516c5650e6c373bc25646f757f5fa83d37dd8fb13c001b6a552a18efc0"
+
+
+def test_pinned_traces():
+    digest = hashlib.sha256()
+    count = 0
+    for start in enumerate_signatures(TRACE_BOUNDS, max_corner_order=4):
+        count += 1
+        for step in reduce_to_closed(start).steps:
+            digest.update(f"{step.kind.value} {format_signature(step.result)}\n".encode())
+    assert count == 16_560
+    assert digest.hexdigest() == TRACE_DIGEST

@@ -226,6 +226,15 @@ class TestEuler:
         singular = sig.cones or tuple(sig.corners())
         assert (chi == underlying_euler(sig)) == (not singular)
 
+    def test_many_cones_in_linear_time(self):
+        # A denominator multiplied by every order, divisor or not, would
+        # grow with the cone count and make χ quadratic in it.
+        sig = Signature(True, 0, 0, (), (7,) * 128_000)
+        start = time.perf_counter()
+        chi = orbifold_euler(sig)
+        assert time.perf_counter() - start < 0.5
+        assert chi == 2 - 128_000 * Fraction(6, 7)
+
     def test_classical_surface_spot_table(self):
         assert orbifold_euler(parse_signature("O;g=0")) == 2
         assert orbifold_euler(parse_signature("O;g=1")) == 0
