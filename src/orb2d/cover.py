@@ -18,11 +18,13 @@ generator touches only the first is tried, since a permutation commuting
 with x_1 carries any of them there (symmetry breaking, which also makes
 the search deterministic).  A skipped branch is conjugate to an earlier
 sibling, so the first witness found, and every refutation, is the same as
-without these rules.  Two more tests cut branches that hold no witness:
-at each handle slot, an orbit of 0 that the set entries already close,
-short of all n points (no completion is transitive), and at the first
-slot of the last handle generator b, an a that is not conjugate to T a,
-where T is the rest of the relator (no b solves a b a^-1 b^-1 T = 1).
+without these rules.  Two more tests cut branches that hold no witness,
+asked only when the open slot is a handle generator's: an orbit of 0 that
+the set entries already close, short of all n points (no completion is
+transitive), and, while the table of the last handle generator b is
+still empty, so that the open slot is its first, an a that is not
+conjugate to T a, where T is the rest of the relator (no b solves
+a b a^-1 b^-1 T = 1).
 
 The deduction skips the scans that cannot deduce: while the table of the
 last handle generator b has no entry, no rotation of the long relator can
@@ -250,7 +252,7 @@ class _Search:
         # The letters x_1 .. x_k [a_1, b_1] .. [a_{g-1}, b_{g-1}] a_g of the
         # doubled word, whose product is T a in _dead_end.
         self.ta_tables = self.fwd[4 * g : len(word) + 4 * g - 3]
-        # The table of b_g, whose emptiness _propagate tests; None for genus 0.
+        # b_g's table, whose emptiness _propagate and _dead_end test; None at genus 0.
         self.last_row = self.img[-1] if g else None
         # Every entry (gen, p, q) set, in order; the entries from head on
         # are the deduction queue, not yet propagated.
@@ -363,23 +365,21 @@ class _Search:
             p = 0
         return None
 
-    def _dead_end(self, gen: int, top_gen: int) -> bool:
-        """Whether no witness completes the tables, at an open slot of gen
-        reached from a frame of top_gen; tested at handle slots only.
+    def _dead_end(self, gen: int) -> bool:
+        """Whether no witness completes the tables, at an open slot of the
+        handle generator gen; run asks at handle slots only.
 
-        When top_gen is not the last handle generator b = b_g but gen is,
-        every other table is full.  The relator read from a = a_g is
-        a b a^-1 b^-1 T = 1, with T = x_1 ... x_k [a_1, b_1] ...
-        [a_{g-1}, b_{g-1}], so b a^-1 b^-1 = (T a)^-1: some b exists if and
-        only if a and T a have the same cycle type.
+        While the table of the last handle generator b = b_g is empty, its
+        first slot is the open one and every other table is full.  The
+        relator read from a = a_g is a b a^-1 b^-1 T = 1, with T = x_1 ...
+        x_k [a_1, b_1] ... [a_{g-1}, b_{g-1}], so b a^-1 b^-1 = (T a)^-1:
+        some b exists if and only if a and T a have the same cycle type.
 
         And if the points reachable from 0 through the set entries are
         closed under every generator but fewer than n, every completion
         keeps them invariant, so none is transitive.
         """
-        if self.orders[gen]:
-            return False
-        if gen == self.ngens - 1 and top_gen != gen:
+        if gen == self.ngens - 1 and self.last_row.count(-1) == self.n:
             ta = list(range(self.n))
             for row in self.ta_tables:
                 ta = [row[x] for x in ta]
@@ -411,11 +411,11 @@ class _Search:
         # at 0: from x_1 alone the relator deduces another generator's
         # entries only on the two-cone sphere (x_1 x_2 = 1), and there it
         # fills every table or contradicts, so no frame opens.
-        n, stack, trail, img, pres = self.n, [], self.trail, self.img, self.pre
+        n, stack, trail, img, pres, orders = self.n, [], self.trail, self.img, self.pre, self.orders
         next_slot, dead_end, assign, propagate, undo = (
             self._next_slot, self._dead_end, self._assign, self._propagate, self._undo
         )
-        m = self.orders[0] if self.orders and self.orders[0] else 1
+        m = orders[0] if orders and orders[0] else 1
         if m > 1:
             for p in range(n):
                 q = p + 1 if (p + 1) % m else p + 1 - m
@@ -432,7 +432,7 @@ class _Search:
             if slot is None:
                 if _is_transitive(n, img):
                     return [tuple(row) for row in img]
-            elif not dead_end(slot[0], gen):
+            elif orders[slot[0]] or not dead_end(slot[0]):
                 gen, p = slot
                 stack.append([gen, p, max(used, (p // m + 1) * m), 0, len(trail)])
             # Take the next image of the deepest open branch that has one.
@@ -454,15 +454,6 @@ class _Search:
                 break
             else:
                 return None
-
-
-def _witness_from_perms(sig: Signature, n: int, perms: list[Perm]) -> CoverWitness:
-    k, g = len(sig.cones), sig.genus
-    cone_images = tuple(perms[:k])
-    handle_images = tuple((perms[k + 2 * j], perms[k + 2 * j + 1]) for j in range(g))
-    cover_euler = n * orbifold_euler(sig)
-    cover_genus = int((2 - cover_euler) / 2)
-    return CoverWitness(n, handle_images, cone_images, cover_euler, cover_genus)
 
 
 def _check_degree(name: str, n: int) -> None:
@@ -487,7 +478,9 @@ def search_at_degree(sig: Signature, n: int) -> CoverWitness | None:
     perms = _Search(sig, n).run()
     if perms is None:
         return None
-    witness = _witness_from_perms(sig, n, perms)
+    k, cover_euler = len(sig.cones), n * orbifold_euler(sig)
+    handles = tuple(zip(perms[k::2], perms[k + 1 :: 2]))
+    witness = CoverWitness(n, handles, tuple(perms[:k]), cover_euler, 1 - cover_euler.numerator // 2)
     check = verify_witness(sig, witness)
     if not check:
         raise InternalInconsistencyError(f"search produced an invalid witness: {check.failure}")

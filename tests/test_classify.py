@@ -10,7 +10,7 @@ from conftest import signatures
 from orb2d.classify import Geometry, classify, is_bad_closed, theorem_check
 from orb2d.group import InternalInconsistencyError, abelianization, presentation_of_closed
 from orb2d.reduce import StepKind, reduce_to_closed
-from orb2d.signature import PreconditionError, orbifold_euler, parse_signature
+from orb2d.signature import PreconditionError, Signature, orbifold_euler, parse_signature
 from test_acceptance import suite
 
 
@@ -170,6 +170,49 @@ class TestClassify:
             assert c.group_order is not None and c.group_order >= 1
         else:
             assert c.group_order is None
+
+
+def test_answers_invariant_under_mirror_images():
+    # A mirror image reverses corner sequences: every mirror circle at once
+    # on an orientable surface, any one of them on a non-orientable surface.
+    # It is the same orbifold seen in a mirror, so no answer may tell the
+    # two apart.
+    reversals = {}
+
+    def reversal(circle):
+        """The circle with its corners reversed, or None where that is a
+        rotation of it, as it is for at most two corners."""
+        if circle not in reversals:
+            image = Signature.make(True, 0, 0, [circle._replace(corners=circle.corners[::-1])]).boundary[0]
+            reversals[circle] = None if image == circle else image
+        return reversals[circle]
+
+    def answers(s):
+        c = classify(s)
+        return c.euler, c.good, c.group_finite, c.group_order, c.geometry, reduce_to_closed(s).final
+
+    signatures = pairs = 0
+    for s in suite():
+        flips = [i for i, circle in enumerate(s.boundary) if reversal(circle) is not None]
+        if not flips:
+            continue
+        images = set()
+        for chosen in [flips] if s.orientable else [[i] for i in flips]:
+            circles = list(s.boundary)
+            for i in chosen:
+                circles[i] = reversal(circles[i])
+            images.add(Signature.make(s.orientable, s.genus, s.punctures, circles, s.cones))
+        images.discard(s)  # reversing r(2,3,4) and r(2,4,3) together swaps them
+        signatures += bool(images)
+        pairs += len(images)
+        # Each image is in the suite and has s among its own images, so
+        # every pair is checked once, from its lesser signature.
+        later = [image for image in images if image > s]
+        if later:
+            expected = answers(s)
+            for image in later:
+                assert answers(image) == expected, (s, image)
+    assert (signatures, pairs) == (83_916, 84_672)
 
 
 class TestSerialization:

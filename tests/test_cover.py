@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ from orb2d.cover import (
     VerifyResult,
     _cycle_type,
     _orbit_size,
+    _relator_product,
     _Search,
     compose,
     cycles,
@@ -25,7 +27,7 @@ from orb2d.cover import (
     search_at_degree,
     verify_witness,
 )
-from orb2d.group import InternalInconsistencyError
+from orb2d.group import InternalInconsistencyError, presentation_of_closed, render_presentation
 from orb2d.signature import PreconditionError, orbifold_euler, parse_signature
 from test_acceptance import CONE_BOUNDS
 
@@ -410,7 +412,7 @@ class TestHandleSlotCuts:
                 search.pre[gen][:] = inverse(perm)
             t = compose(compose(x1, x2), commutator_times(a1, b1, identity(4)))
             exists = any(commutator_times(a2, b, t) == identity(4) for b in perms)
-            assert search._dead_end(5, 4) == (not exists)
+            assert search._dead_end(5) == (not exists)
             outcomes.add(exists)
         assert outcomes == {True, False}
 
@@ -421,7 +423,7 @@ class TestHandleSlotCuts:
             search = _Search(sig("O;g=1"), 3)
             search.img[0][:] = search.pre[0][:] = [0, 1, 2]
             assert search._assign(1, 0, b0)
-            assert search._dead_end(1, 1) == dead
+            assert search._dead_end(1) == dead
 
 
 # perfbench's cover_certify and cover_refute ladders, copied so that the
@@ -430,41 +432,42 @@ class TestHandleSlotCuts:
 # searched, and the first 12 hex digits of the SHA-256 of the witness
 # record, or None where theory rules out a witness.  The two counts pin the
 # search tree: a node opens one frame or reaches a leaf, so a change that
-# tries another image, or skips one, moves them.
+# tries another image, or skips one, moves them.  _dead_end is asked at
+# handle slots only, so never at genus 0.
 LADDER_RUNGS = (
-    ("O;g=0;cones=2,2,2,2", 2, 3, 2, "3cc089965250"),
-    ("O;g=0;cones=3,3,3", 3, 3, 2, "cac3b002366b"),
-    ("O;g=0;cones=2,4,4", 4, 4, 3, "409b228716fc"),
-    ("O;g=0;cones=2,3,6", 6, 5, 4, "635fad4dcc1e"),
-    ("O;g=0;cones=2,2,3", 6, 3, 2, "fafb66c02ccb"),
+    ("O;g=0;cones=2,2,2,2", 2, 3, 0, "3cc089965250"),
+    ("O;g=0;cones=3,3,3", 3, 3, 0, "cac3b002366b"),
+    ("O;g=0;cones=2,4,4", 4, 4, 0, "409b228716fc"),
+    ("O;g=0;cones=2,3,6", 6, 5, 0, "635fad4dcc1e"),
+    ("O;g=0;cones=2,2,3", 6, 3, 0, "fafb66c02ccb"),
     ("O;g=1", 1, 3, 2, "695bcf7bc61d"),
     ("O;g=1;cones=2", 4, 10, 9, "192f05f552f8"),
-    ("O;g=0;cones=2,5,5", 20, 16, 15, "12fcfc3f7787"),
-    ("O;g=0;cones=3,3,4", 24, 13, 12, "e2bc9447ff80"),
-    ("O;g=0;cones=2,3,4", 24, 14, 13, "9f284f3b41ae"),
-    ("O;g=0;cones=3,4,4", 12, 12, 11, "d3654bd285f7"),
-    ("O;g=0;cones=3,3,7", 21, 14, 13, "610c1252e33b"),
-    ("O;g=0;cones=4,5,5", 40, 27, 26, "2455ebb88981"),
-    ("O;g=0;cones=2,3,10", 30, 22, 21, "3db411293340"),
-    ("O;g=0;cones=2,3,12", 24, 16, 15, "2908a596b3ae"),
-    ("O;g=0;cones=2,5,6", 30, 24, 23, "992928921940"),
-    ("O;g=0;cones=2,7,7", 28, 25, 24, "450c695d107a"),
-    ("O;g=0;cones=2,4,10", 40, 28, 27, "b38f569ca673"),
-    ("O;g=0;cones=3,6,9", 36, 28, 27, "b349a902adef"),
-    ("O;g=0;cones=2,9,9", 36, 33, 32, "3e61595d743d"),
-    ("O;g=0;cones=3,3,8", 48, 28, 27, "b7feb2ff2cfc"),
-    ("O;g=0;cones=2,3,14", 42, 30, 29, "6f6e6ec65e54"),
-    ("O;g=0;cones=2,6,8", 48, 38, 37, "1bdd4f933191"),
-    ("O;g=0;cones=2,4,5", 40, 30, 29, "e6f375995bbf"),
-    ("O;g=0;cones=2,6,10", 60, 51, 50, "6f87d3119932"),
+    ("O;g=0;cones=2,5,5", 20, 16, 0, "12fcfc3f7787"),
+    ("O;g=0;cones=3,3,4", 24, 13, 0, "e2bc9447ff80"),
+    ("O;g=0;cones=2,3,4", 24, 14, 0, "9f284f3b41ae"),
+    ("O;g=0;cones=3,4,4", 12, 12, 0, "d3654bd285f7"),
+    ("O;g=0;cones=3,3,7", 21, 14, 0, "610c1252e33b"),
+    ("O;g=0;cones=4,5,5", 40, 27, 0, "2455ebb88981"),
+    ("O;g=0;cones=2,3,10", 30, 22, 0, "3db411293340"),
+    ("O;g=0;cones=2,3,12", 24, 16, 0, "2908a596b3ae"),
+    ("O;g=0;cones=2,5,6", 30, 24, 0, "992928921940"),
+    ("O;g=0;cones=2,7,7", 28, 25, 0, "450c695d107a"),
+    ("O;g=0;cones=2,4,10", 40, 28, 0, "b38f569ca673"),
+    ("O;g=0;cones=3,6,9", 36, 28, 0, "b349a902adef"),
+    ("O;g=0;cones=2,9,9", 36, 33, 0, "3e61595d743d"),
+    ("O;g=0;cones=3,3,8", 48, 28, 0, "b7feb2ff2cfc"),
+    ("O;g=0;cones=2,3,14", 42, 30, 0, "6f6e6ec65e54"),
+    ("O;g=0;cones=2,6,8", 48, 38, 0, "1bdd4f933191"),
+    ("O;g=0;cones=2,4,5", 40, 30, 0, "e6f375995bbf"),
+    ("O;g=0;cones=2,6,10", 60, 51, 0, "6f87d3119932"),
     ("O;g=0;cones=3", 3, 0, 0, None),
     ("O;g=0;cones=2,3", 6, 0, 0, None),
-    ("O;g=0;cones=2,6,6", 6, 14, 14, None),
-    ("O;g=0;cones=2,2,2,3", 6, 16, 16, None),
+    ("O;g=0;cones=2,6,6", 6, 14, 0, None),
+    ("O;g=0;cones=2,2,2,3", 6, 16, 0, None),
     ("O;g=0;cones=2,3,8", 8, 0, 0, None),
     ("O;g=1;cones=6", 6, 1957, 1957, None),
     ("O;g=1;cones=2", 6, 342, 342, None),
-    ("O;g=0;cones=2,5,5", 10, 77, 77, None),
+    ("O;g=0;cones=2,5,5", 10, 77, 0, None),
 )
 CERTIFY_LADDER = tuple(text for text, *_, digest in LADDER_RUNGS if digest)
 
@@ -661,3 +664,39 @@ class TestVerifyWitness:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             verify_witness(sig("O;g=0;cones=2,2"), self.witness)
+
+    def test_non_reduced_signature_refused(self):
+        with pytest.raises(PreconditionError):
+            verify_witness(sig("O;g=0;pun=1;cones=2,2,2,2"), self.witness)
+
+
+def test_long_relator_spellings_agree():
+    # The presentation, its text, the search's word and the verifier's
+    # product each spell the long relator [a1,b1] ... [ag,bg] x1 ... xk.
+    from orb2d.catalog import enumerate_signatures
+
+    rng = random.Random(5)
+    checked = 0
+    for s in enumerate_signatures(CONE_BOUNDS):
+        k, g = len(s.cones), s.genus
+        names = [f"x{i + 1}" for i in range(k)] + [f"{ab}{j + 1}" for j in range(g) for ab in "ab"]
+        word = tuple((names[gen], sign) for gen, sign in _Search(s, 1).word)
+        if not word:
+            continue
+        checked += 1
+        presentation = presentation_of_closed(s)
+        assert presentation.relators[-1] == word, s
+        text = render_presentation(presentation)[:-1].split(" | ")[1].split(", ")[-1]
+        spelled = []
+        for a, b, x in re.findall(r"\[(\w+),(\w+)\]|(\w+)", text):
+            spelled += [(a, 1), (b, 1), (a, -1), (b, -1)] if a else [(x, 1)]
+        assert tuple(spelled) == word, s
+        product = identity(5)
+        while product == identity(5):
+            images = {name: tuple(rng.sample(range(5), 5)) for name in names}
+            for name, sign in word:
+                product = compose(product, images[name] if sign > 0 else inverse(images[name]))
+        handles = tuple((images[f"a{j + 1}"], images[f"b{j + 1}"]) for j in range(g))
+        witness = CoverWitness(5, handles, tuple(images[f"x{i + 1}"] for i in range(k)), Fraction(0), 1)
+        assert _relator_product(witness) == product, s
+    assert checked == 377

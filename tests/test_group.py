@@ -120,6 +120,10 @@ class TestIntegerMatrix:
         m = IntegerMatrix([[True, False]])
         assert m == ((1, 0),) and [type(x) for x in m[0]] == [int, int]
 
+    def test_ragged_rows_refused(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            IntegerMatrix([[1, 2], [3]])
+
 
 class TestSmithNormalForm:
     def test_identity(self):
@@ -133,6 +137,10 @@ class TestSmithNormalForm:
 
     def test_zero_matrix(self):
         assert smith_normal_form(IntegerMatrix([[0, 0], [0, 0]])).diagonal == (0, 0)
+
+    def test_empty_matrix(self):
+        # No rows: the transforms are 0 x 0, whose determinant is 1.
+        assert smith_normal_form(IntegerMatrix([])) == SmithForm((), (), ())
 
     def test_rectangular(self):
         form = smith_normal_form(IntegerMatrix([[2, 4, 4]]))
@@ -201,8 +209,10 @@ class TestCheckSmith:
             ([[2, 0], [0, 3]], (2, 3), I2, I2, "not a divisibility chain"),
             ([[0, 0], [0, 1]], (0, 1), I2, I2, "zero before nonzero"),
             ([[1]], (2,), [[2]], [[1]], "not unimodular"),
+            # A left transform with a zero column re-multiplies the zero matrix.
+            ([[0, 0], [0, 0]], (0, 0), [[0, 1], [0, 1]], I2, "not unimodular"),
         ],
-        ids=["product", "chain", "zero-first", "unimodular"],
+        ids=["product", "chain", "zero-first", "unimodular", "unimodular-zero-column"],
     )
     def test_failure_branch(self, m, diagonal, left, right, message):
         form = SmithForm(diagonal, IntegerMatrix(left), IntegerMatrix(right))
@@ -363,6 +373,11 @@ class TestGroupOrder:
         s = sig("O;g=0;cones=2,3")  # bad; passing good=True must be caught
         with pytest.raises(InternalInconsistencyError):
             group_order_if_finite(s, orbifold_euler(s), True)
+
+    def test_bad_off_the_list_is_a_bug(self):
+        s = sig("O;g=0;cones=2,2")  # good; passing good=False must be caught
+        with pytest.raises(InternalInconsistencyError, match="is not in the bad list"):
+            group_order_if_finite(s, orbifold_euler(s), False)
 
     def test_abelian_cross_check(self):
         # Where the group is abelian, the abelianization order equals the
