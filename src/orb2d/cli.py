@@ -47,7 +47,8 @@ EXIT_CLOSED_STDOUT = 141
 
 # A short text can spell a large count. The work and output of reduce, pi1,
 # abel and cover grow with genus + punctures, so they refuse a larger sum; the
-# cone orders are bounded in pi1 and abel by group.MAX_RELATOR_LETTERS.
+# cone orders are bounded in pi1 and abel by group.MAX_RELATOR_LETTERS, and
+# abel's cone count by group.MAX_LIVE_COLUMNS.
 MAX_GENUS_PLUS_PUNCTURES = 100_000
 
 

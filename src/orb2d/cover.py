@@ -10,9 +10,10 @@ The first cone generator x_1, of order m, is set to the blocks of m
 consecutive points, to which every permutation with all cycles of length
 m is conjugate.  The other cone generators are searched next and the
 handle generators after, with three prunings: exact-cycle-length
-propagation, Felsch-style deduction (each new table entry rescans only
-the rotations of the long relator that begin with it; Sims, *Computation
-with Finitely Presented Groups*, 1994), and new points introduced in
+propagation, Felsch-style deduction (each new table entry scans one
+rotation of the long relator, the one that begins with its generator,
+which suffices in the search's slot order; Sims, *Computation with
+Finitely Presented Groups*, 1994), and new points introduced in
 increasing order, a block at a time: of the blocks that no other
 generator touches only the first is tried, since a permutation commuting
 with x_1 carries any of them there (symmetry breaking, which also makes
@@ -30,7 +31,7 @@ The deduction skips the scans that cannot deduce: while the table of the
 last handle generator b has no entry, no rotation of the long relator can
 be read to within one letter of closing, since b and b^-1 are two of its
 letters, so the entries set meanwhile are not scanned.  A scan that later
-deduces reads through an entry of b, whose own scans cover it.  Likewise
+deduces reads through an entry of b, whose own scan covers it.  Likewise
 x_1 is written into its tables with no scan when the relator has three
 letters or more: a scan from an x_1 entry stops forwards at the next
 letter and backwards at the last, leaving at least two letters unread, so
@@ -242,13 +243,11 @@ class _Search:
         doubled = word + word
         self.fwd = [self.img[gen] if sign > 0 else self.pre[gen] for gen, sign in doubled]
         self.bwd = [self.pre[gen] if sign > 0 else self.img[gen] for gen, sign in doubled]
-        # The rotations scanned from a new entry img[gen][p] = q, one list
-        # per generator: r for the rotation that begins with gen at letter
-        # r, scanned from p, and ~r for one that begins with gen^-1, scanned
-        # from q (plain ints: a tuple per letter costs memory at large genus).
-        self.scans: list[list[int]] = [[] for _ in range(self.ngens)]
+        # Per generator, the letter with exponent +1 where its scanned rotation begins.
+        self.scan_start = [0] * self.ngens
         for r, (gen, sign) in enumerate(word):
-            self.scans[gen].append(r if sign > 0 else ~r)
+            if sign > 0:
+                self.scan_start[gen] = r
         # The letters x_1 .. x_k [a_1, b_1] .. [a_{g-1}, b_{g-1}] a_g of the
         # doubled word, whose product is T a in _dead_end.
         self.ta_tables = self.fwd[4 * g : len(word) + 4 * g - 3]
@@ -291,67 +290,68 @@ class _Search:
             p, q = tail, node
 
     def _propagate(self) -> bool:
-        """Scan the rotations through each trail entry from head on.
-
-        A scan can only change when an entry on its path is set, and the
-        rotations through a new entry img[gen][p] = q are those that begin
-        with gen, scanned from p, and with gen^-1, scanned from q.  So head
-        at the end of the trail is the fixed point of rescanning every
-        rotation from every point.  False means a contradiction; head is
-        then left behind, for the caller's undo resets it.
+        """Scan one rotation through each trail entry from head on.
 
         A scan from alpha of the rotation that begins at letter r reads
         forwards from r and backwards from r + len(word) - 1 as far as the
         tables go.  If the two ends meet, the rotation must close at alpha;
-        if they are one letter apart, that letter's entry is deduced.
+        if they are one letter apart, that letter's entry is deduced.  False
+        means a contradiction; head is then left behind, for the caller's
+        undo resets it.
 
-        While the table of the last handle generator b = b_g is empty, head
-        moves to the end of the trail with no scan, in any order of
-        assignment.  Every rotation holds b and b^-1 at two different
-        letters, so its forward read stops at or before the first of them
-        and its backward read at or after the second: no scan deduces an
-        entry or meets a contradiction.  A scan that can do either later
-        reads through some entry img[b][p] = q, set after the skip, and the
-        scans of that entry read the same path, from p in the rotations
-        that begin with b and from q in those that begin with b^-1.  So
-        head at the end of the trail still means the fixed point.
+        A new entry img[gen][p] is scanned from p in the rotation that
+        begins at gen's one letter with exponent +1.  With the generators
+        filled in slot order, each table full before the next is begun, and
+        any points and images within a generator, head at the end of the
+        trail is the fixed point of rescanning every rotation from every
+        point.  In another order across generators it need not be.
+
+        At genus 0 no letter is an inverse, so these are all the rotations.
+        At genus g >= 1, while the table of b = b_g is empty, head moves to
+        the end of the trail with no scan: every rotation holds b and b^-1
+        at two different letters, so its forward read stops at or before
+        the first and its backward read at or after the second, and no scan
+        can deduce or contradict.  b's table is begun last, so every entry
+        scanned is b's, and only b's can be deduced.  The relator read from
+        b is b U b^-1 V = 1, with U = a_g^-1 and V = T a_g set in full (T as
+        in _dead_end): b(V^-1 x) = U(b(x)).  The scan from each entry (x, b(x))
+        deduces or checks b(V^-1 x), so b's entries walk each cycle of V to
+        its end, where _assign refuses a clash or a full read fails to
+        close.  The rotations that begin with b^-1 walk the same cycles the
+        other way, b(V x) = U^-1(b(x)), and find nothing more.
         """
-        trail, fwd, bwd, word, scans = self.trail, self.fwd, self.bwd, self.word, self.scans
+        trail, fwd, bwd, word, starts = self.trail, self.fwd, self.bwd, self.word, self.scan_start
         if self.last_row is not None and self.last_row.count(-1) == self.n:
             self.head = len(trail)
             return True
         assign, head, length = self._assign, self.head, len(word)
         while head < len(trail):
-            gen, p, q = trail[head]
+            gen, alpha, _ = trail[head]
             head += 1
-            for start in scans[gen]:
-                if start < 0:
-                    start, alpha = ~start, q
-                else:
-                    alpha = p
-                end = start + length
-                f, i = alpha, start
-                while i < end:
-                    nxt = fwd[i][f]
-                    if nxt == -1:
-                        break
-                    f = nxt
-                    i += 1
-                else:
-                    if f != alpha:
-                        return False
-                    continue
-                b, j = alpha, end - 1
-                while j > i:
-                    prv = bwd[j][b]
-                    if prv == -1:
-                        break
-                    b = prv
-                    j -= 1
-                else:
-                    letter, sign = word[i % length]
-                    if not (assign(letter, f, b) if sign > 0 else assign(letter, b, f)):
-                        return False
+            start = starts[gen]
+            end = start + length
+            f, i = alpha, start
+            while i < end:
+                nxt = fwd[i][f]
+                if nxt == -1:
+                    break
+                f = nxt
+                i += 1
+            else:
+                if f != alpha:
+                    return False
+                continue
+            b, j = alpha, end - 1
+            while j > i:
+                prv = bwd[j][b]
+                if prv == -1:
+                    break
+                b = prv
+                j -= 1
+            else:
+                letter, sign = word[i % length]
+                if not (assign(letter, f, b) if sign > 0 else assign(letter, b, f)):
+                    return False
         self.head = head
         return True
 

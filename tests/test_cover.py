@@ -576,6 +576,10 @@ class TestDeductionQueue:
             ("O;g=1;cones=6", 6, False),
             ("O;g=2;cones=2,2", 2, True),
             ("O;g=3", 2, True),
+            # Genus >= 1 searches whose scans from b_g's entries deduce.
+            ("O;g=2;cones=4", 8, True),
+            ("O;g=1;cones=2,3", 12, True),
+            ("O;g=1;cones=3,3", 9, True),
         ],
     )
     def test_search_propagations_reach_the_fixed_point(self, monkeypatch, text, degree, found):
@@ -594,22 +598,27 @@ class TestDeductionQueue:
         assert fixed_points
 
     @pytest.mark.parametrize(
-        "text,degree", [("O;g=1", 4), ("O;g=1;cones=2", 4), ("O;g=2;cones=2,2", 4), ("O;g=3", 4)]
+        "text,degree",
+        [("O;g=1", 4), ("O;g=1;cones=2", 4), ("O;g=2;cones=2,2", 4), ("O;g=3", 4), ("O;g=1;cones=2,3", 6)],
     )
-    def test_any_assignment_order_reaches_the_fixed_point(self, text, degree):
-        # The search fills one generator after another, and once only the
-        # last handle generator is open the rotations that begin with it
-        # deduce everything.  Filling slots in random order also needs the
-        # rotations that begin with an inverse generator, and reaches the
-        # fixed point both while b_g's table is empty, when no scan runs,
-        # and after it has entries.
+    def test_slot_order_reaches_the_fixed_point(self, text, degree):
+        # _propagate scans one rotation per new entry, which reaches the
+        # fixed point when the generators are filled in slot order, each
+        # table full before the next is begun, whatever the points and
+        # images within a generator.  So fill the generators in slot order,
+        # each one's points shuffled and each given a random free image.
+        # The fixed point must hold both while b_g's table is empty, when no
+        # scan runs, and after it has entries.
         rng = random.Random(6)
         fixed_points = 0
         last_empty = set()
         for _ in range(300):
             search = _Search(sig(text), degree)
-            slots = [(gen, p) for gen in range(search.ngens) for p in range(degree)]
-            rng.shuffle(slots)
+            slots = []
+            for gen in range(search.ngens):
+                points = list(range(degree))
+                rng.shuffle(points)
+                slots += [(gen, p) for p in points]
             for gen, p in slots:
                 if search.img[gen][p] != -1:
                     continue

@@ -301,6 +301,9 @@ class TestLiveBlock:
         assert abelianization(p) == AbelianInvariants(1, (2, 2, 12))
         assert abelianization(p) == whole_matrix_abelianization(p)
 
+    def test_generators_without_relators_are_free(self):
+        assert abelianization(Presentation(2, (), ())) == AbelianInvariants(4, ())
+
     def test_block_does_not_grow_with_genus(self, monkeypatch):
         import orb2d.group as group
 
@@ -310,6 +313,23 @@ class TestLiveBlock:
         inv = abelianization(presentation_of_closed(sig("O;g=1000;cones=2,3,5,7")))
         assert inv == AbelianInvariants(2000, ())
         assert shapes == [(5, 4)]
+
+    def test_live_block_ceiling(self, monkeypatch):
+        import orb2d.group as group
+
+        def sphere(cones):
+            return presentation_of_closed(sig("O;g=0;cones=" + ",".join(["7"] * cones)))
+
+        def refused(m):
+            raise AssertionError("the Smith form ran past the ceiling")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(group, "smith_normal_form", refused)
+            with pytest.raises(PreconditionError, match=str(group.MAX_LIVE_COLUMNS)):
+                abelianization(sphere(group.MAX_LIVE_COLUMNS + 1))
+        # The ceiling itself answers: k cones of order 7 on the sphere give (Z/7)^(k-1).
+        inv = abelianization(sphere(group.MAX_LIVE_COLUMNS))
+        assert inv == AbelianInvariants(0, (7,) * (group.MAX_LIVE_COLUMNS - 1))
 
 
 class TestSmithReference:
