@@ -118,7 +118,7 @@ def theorem_check(sig: Signature) -> Classification:
     failed = []
     if cls.euler <= 0 and not cls.good:
         failed.append("a:infinite-implies-good")
-    if (sig.punctures > 0 or sig.manifold_circle_count > 0) and not cls.good:
+    if sig.has_end and not cls.good:
         failed.append("b:open-or-manifold-bounded-implies-good")
     if cls.good and sig.is_closed and cls.euler > 0 and (Fraction(2) / cls.euler).denominator != 1:
         failed.append("c:spherical-order-integral")

@@ -124,11 +124,11 @@ def _abel(sig, args):
 
 
 def _cover(sig, args):
-    from .cover import degree_schedule, manifold_cover_search
+    from .cover import degree_schedule, search_at_degree
 
     reduced, record, lines = _reduced(sig)
-    witness = manifold_cover_search(reduced, args.max_degree)
     schedule = degree_schedule(reduced, args.max_degree)
+    witness = next((w for n in schedule if (w := search_at_degree(reduced, n)) is not None), None)
     record["witness"] = witness.to_record() if witness else None
     record["degrees_tried"] = schedule
     if witness is not None:
@@ -171,6 +171,17 @@ def _catalog(args):
     return summary, [_fields_line(summary)]
 
 
+def _bound(text: str) -> int:
+    """A catalog bound: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid bound {text!r}: give an integer of at least 0")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # --format goes before or after the subcommand. It has no default, so a
     # subcommand without it keeps the earlier value; main reads "text" if neither.
@@ -192,12 +203,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # Each catalog bound's dest is its CatalogBounds field, which states the default.
     catalog = sub.add_parser("catalog", parents=[fmt], allow_abbrev=False)
     catalog.set_defaults(**CatalogBounds()._asdict())
-    catalog.add_argument("--max-genus", type=int)
-    catalog.add_argument("--max-cones", type=int)
-    catalog.add_argument("--max-order", type=int)
-    catalog.add_argument("--max-boundary", type=int)
-    catalog.add_argument("--max-corners", type=int, dest="max_corners_per_circle", metavar="MAX_CORNERS")
-    catalog.add_argument("--max-punctures", type=int)
+    catalog.add_argument("--max-genus", type=_bound)
+    catalog.add_argument("--max-cones", type=_bound)
+    catalog.add_argument("--max-order", type=_bound)
+    catalog.add_argument("--max-boundary", type=_bound)
+    catalog.add_argument("--max-corners", type=_bound, dest="max_corners_per_circle", metavar="MAX_CORNERS")
+    catalog.add_argument("--max-punctures", type=_bound)
     catalog.add_argument("--orientable-only", action="store_true")
     catalog.add_argument("--out", default=None)
     return parser

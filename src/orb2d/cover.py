@@ -166,10 +166,6 @@ def _orbit_size(n: int, tables: list) -> int:
     return count
 
 
-def _is_transitive(n: int, tables: list) -> bool:
-    return n > 0 and _orbit_size(n, tables) == n
-
-
 def verify_witness(sig: Signature, w: CoverWitness) -> VerifyResult:
     """Re-check all witness invariants; the search shares only the
     cycle-type and orbit walks.
@@ -191,7 +187,7 @@ def verify_witness(sig: Signature, w: CoverWitness) -> VerifyResult:
             return VerifyResult(False, f"cycle type: a cone generator of order {p} has a cycle of other length")
     if _relator_product(w) != identity(w.degree):
         return VerifyResult(False, "relator: long relator does not act as the identity")
-    if not _is_transitive(w.degree, all_perms):
+    if w.degree < 1 or _orbit_size(w.degree, all_perms) != w.degree:
         return VerifyResult(False, "transitivity: the action is not transitive")
     expected = w.degree * orbifold_euler(sig)
     if w.cover_euler != expected or w.cover_euler != 2 - 2 * w.cover_genus or w.cover_genus < 0:
@@ -430,7 +426,7 @@ class _Search:
             # Every slot before the deepest frame's, (gen, p), is full.
             slot = next_slot(gen, p)
             if slot is None:
-                if _is_transitive(n, img):
+                if _orbit_size(n, img) == n:
                     return [tuple(row) for row in img]
             elif orders[slot[0]] or not dead_end(slot[0]):
                 gen, p = slot

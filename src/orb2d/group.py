@@ -297,7 +297,7 @@ def group_order_if_finite(sig: Signature, chi: Fraction, good: bool) -> int:
     if chi <= 0:
         raise PreconditionError("group order is defined only for chi > 0")
     if good:
-        order = Fraction(1 if sig.punctures or sig.manifold_circle_count else 2) / chi
+        order = Fraction(1 if sig.has_end else 2) / chi
         if order.denominator != 1:
             raise InternalInconsistencyError(
                 f"good signature {sig} has non-integral order {order}"
@@ -316,7 +316,7 @@ def render_presentation(p: Presentation) -> str:
     relators = [f"{name}^{order}" for name, order in p.cone_gens]
     long_parts = "".join(f"[a{j},b{j}]" for j in range(1, p.handle_pairs + 1))
     xs = " ".join(name for name, _ in p.cone_gens)
-    long_relator = (long_parts + " " + xs).strip() if (long_parts or xs) else ""
+    long_relator = (long_parts + " " + xs).strip()
     if long_relator:
         relators.append(long_relator)
     return f"<{gens} | {', '.join(relators)}>"

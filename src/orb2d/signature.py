@@ -127,8 +127,9 @@ class Signature(NamedTuple):
         return self.orientable and self.is_closed
 
     @property
-    def manifold_circle_count(self) -> int:
-        return sum(1 for c in self.boundary if c.kind == MANIFOLD)
+    def has_end(self) -> bool:
+        """A puncture or a manifold circle; canonical order puts manifold circles first."""
+        return self.punctures > 0 or (bool(self.boundary) and self.boundary[0].kind == MANIFOLD)
 
     def corners(self) -> Iterator[int]:
         """All corner-reflector orders across mirror circles."""

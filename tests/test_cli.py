@@ -164,10 +164,25 @@ class TestCliCommands:
         # pin down the reporting format on that path.
         import orb2d.cover as cover
 
-        monkeypatch.setattr(cover, "manifold_cover_search", lambda s, n: None)
+        monkeypatch.setattr(cover, "search_at_degree", lambda s, n: None)
         code, out, _ = run(capsys, "cover", "O;g=0;cones=2,2,2,2", "--max-degree", "4")
         assert code == 0
         assert out.splitlines() == ["none", "tried degrees: 2, 4"]
+
+    def test_cover_lists_the_schedule_once(self, capsys, monkeypatch):
+        import orb2d.cover as cover
+
+        calls = []
+        schedule = cover.degree_schedule
+
+        def counted(sig, max_degree):
+            calls.append(max_degree)
+            return schedule(sig, max_degree)
+
+        monkeypatch.setattr(cover, "degree_schedule", counted)
+        code, out, _ = run(capsys, "cover", "O;g=0;cones=2,3,7", "--max-degree", "84")
+        assert code == 0 and json.loads(out)["degree"] == 84
+        assert calls == [84]
 
     def test_cover_no_feasible_degrees(self, capsys):
         code, out, _ = run(capsys, "cover", "O;g=0;cones=5")
@@ -300,6 +315,18 @@ class TestCatalogOptions:
             main(argv)
         assert exit_info.value.code == 2 and calls == []
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "option", ["--max-genus", "--max-cones", "--max-order", "--max-boundary", "--max-corners", "--max-punctures"]
+    )
+    def test_negative_bound_exits_2(self, capsys, calls, option):
+        assert run(capsys, "catalog", option, "0") == (0, self.LINE, "")
+        calls.clear()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["catalog", option, "-1"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and calls == [] and captured.out == ""
+        assert captured.err.endswith(f"argument {option}: invalid bound '-1': give an integer of at least 0\n")
 
     @pytest.mark.parametrize(
         "reason, target",

@@ -660,6 +660,12 @@ class TestVerifyWitness:
         result = verify_witness(torus, padded)
         assert not result.ok and result.failure.startswith("transitivity")
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_fails_transitivity(self, degree):
+        # No points: the orbit walk would have no point 0 to start from.
+        result = verify_witness(sig("O;g=0"), CoverWitness(degree, (), (), Fraction(0), 1))
+        assert not result.ok and result.failure.startswith("transitivity")
+
     def test_euler_failure(self):
         broken = self.witness._replace(cover_genus=2, cover_euler=Fraction(-2))
         result = verify_witness(self.sig, broken)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import signatures
 from cursor_parser import PIECES, check_seed_texts, cursor_parse, outcome
+from test_acceptance import suite
 from orb2d.signature import (
     MANIFOLD,
     MIRROR,
@@ -186,6 +187,12 @@ class TestCanonicalization:
         shuffled = Signature.make(sig.orientable, sig.genus, sig.punctures, boundary, cones)
         assert shuffled == sig
         assert orbifold_euler(shuffled) == orbifold_euler(sig)
+
+    def test_has_end_reads_the_first_circle(self):
+        # has_end reads only the first circle, which canonical order makes
+        # a manifold circle whenever there is one.
+        for sig in suite():
+            assert sig.has_end == (sig.punctures > 0 or any(c.kind == MANIFOLD for c in sig.boundary))
 
 
 class TestEuler:
