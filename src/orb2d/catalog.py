@@ -6,7 +6,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .classify import theorem_check
-from .signature import MANIFOLD, MIRROR, BoundaryCircle, Signature, min_rotation
+from .signature import MANIFOLD, MIRROR, BoundaryCircle, PreconditionError, Signature, min_rotation
 
 
 class CatalogBounds(NamedTuple):
@@ -42,8 +42,12 @@ def enumerate_signatures(
     """Every canonical signature within the bounds, each exactly once.
 
     ``max_corner_order`` defaults to ``bounds.max_order`` (one bound for
-    cones and corners) but may be set separately.
+    cones and corners) but may be set separately.  A bound below 0 raises
+    PreconditionError.
     """
+    for name, value in zip(CatalogBounds._fields, bounds[:-1]):
+        if value < 0:
+            raise PreconditionError(f"catalog bound {name} must be at least 0, not {value}")
     if max_corner_order is None:
         max_corner_order = bounds.max_order
     circles = (

@@ -124,11 +124,11 @@ def _abel(sig, args):
 
 
 def _cover(sig, args):
-    from .cover import degree_schedule, search_at_degree
+    from .cover import _first_witness, degree_schedule
 
     reduced, record, lines = _reduced(sig)
     schedule = degree_schedule(reduced, args.max_degree)
-    witness = next((w for n in schedule if (w := search_at_degree(reduced, n)) is not None), None)
+    witness = _first_witness(reduced, schedule)
     record["witness"] = witness.to_record() if witness else None
     record["degrees_tried"] = schedule
     if witness is not None:

@@ -490,8 +490,10 @@ def manifold_cover_search(sig: Signature, max_degree: int) -> CoverWitness | Non
     search order, or None if no feasible degree up to max_degree admits
     one.  max_degree must be between 1 and MAX_DEGREE.
     """
-    for n in degree_schedule(sig, max_degree):
-        witness = search_at_degree(sig, n)
-        if witness is not None:
-            return witness
-    return None
+    return _first_witness(sig, degree_schedule(sig, max_degree))
+
+
+def _first_witness(sig: Signature, schedule: list[int]) -> CoverWitness | None:
+    """The witness at the first degree of ``schedule`` that has one, or None;
+    the command line passes the schedule that it also reports."""
+    return next((w for n in schedule if (w := search_at_degree(sig, n)) is not None), None)

@@ -19,7 +19,7 @@ from orb2d.cli import (
     EXIT_PRECONDITION,
     main,
 )
-from orb2d.signature import MANIFOLD, MIRROR, format_signature, parse_signature
+from orb2d.signature import MANIFOLD, MIRROR, PreconditionError, format_signature, parse_signature
 
 
 def run(capsys, *argv):
@@ -51,6 +51,14 @@ class TestCatalogModule:
             assert text not in seen
             seen.add(text)
         assert "N;g=1;pun=1;cones=2,3;bdry=m,r(2,3)" in seen
+
+    @pytest.mark.parametrize("field", CatalogBounds._fields[:-1])
+    def test_negative_bound_is_refused(self, field):
+        # The library states the rule that the command line's options check.
+        with pytest.raises(PreconditionError, match=f"{field} must be at least 0, not -1"):
+            catalog_records(CatalogBounds(**{field: -1}))
+        records, _ = catalog_records(CatalogBounds(**{field: 0}))
+        assert records[0]["sig"] == "O;g=0"  # a bound of 0 is allowed
 
     def test_example_catalog_counts(self):
         # Closed orientable genus 0, up to two cones of order at most 3.
