@@ -1,13 +1,15 @@
 """Each command's time grows linearly along each size axis of its input.
 
 A case runs ``cli.main`` in process on a text of size k and of size 4k, in
-the order k, 4k, k, 4k, k, and keeps the least time of each size. Each 4k
-run sits between two k runs, so a change in the machine's speed during a
-case reaches both sides of the ratio. A run is one call, or as many calls
-as make a run at size k take at least 50 ms. k is set so that one call
-takes about that where the input allows it; genus plus punctures is capped
-at 100,000 wherever a signature is reduced. A linear path reads a ratio of about 4 and a quadratic one about
-16, so the test asks for less than 8.
+the order k, 4k, k, 4k, k, and keeps the least time of each size. The time
+is the process's CPU time, which other processes on the machine do not add
+to. Each 4k run sits between two k runs, so a change in the machine's speed
+during a case reaches both sides of the ratio. A run is one call, or as
+many calls as make a run at size k take at least 50 ms. k is set so that
+one call takes about that where the input allows it; genus plus punctures
+is capped at 100,000 wherever a signature is reduced. A linear path reads a
+ratio of about 4 and a quadratic one about 16, so the test asks for less
+than 8.
 
 Left out:
 - ``abel``: its Smith form is cubic in the cone count, which is capped at
@@ -52,10 +54,10 @@ def _time(argv, calls=1):
     sink = io.StringIO()
     gc.disable()
     try:
-        start = time.perf_counter()
+        start = time.process_time()
         with redirect_stdout(sink):
             codes = {main(argv) for _ in range(calls)}
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
     finally:
         gc.enable()
     assert codes == {0}, sink.getvalue()
