@@ -5,28 +5,17 @@ fundamental group is finite or infinite, which geometry it carries, and
 exhibit a finite manifold orbifold-cover as a constructive certificate
 of goodness.
 
-Importing the package loads only the classifier layers (``signature``,
-``group``, ``classify``). The cover and reduce names load their module on
+Importing the package loads only the classifier layers (``signature`` and
+``classify``). The group, cover and reduce names load their module on
 first use and are looked up in it on every access, never stored here, so
-a patch of ``orb2d.cover.<name>`` or ``orb2d.reduce.<name>`` shows through
-``orb2d.<name>``.
+a patch of ``orb2d.group.<name>``, ``orb2d.cover.<name>`` or
+``orb2d.reduce.<name>`` shows through ``orb2d.<name>``.
 """
 import sys
 from importlib import import_module
 from types import ModuleType
 
-from .classify import Classification, Geometry, classify, is_bad_closed, theorem_check
-from .group import (
-    AbelianInvariants,
-    IntegerMatrix,
-    Presentation,
-    SmithForm,
-    abelianization,
-    group_order_if_finite,
-    presentation_of_closed,
-    relation_matrix,
-    smith_normal_form,
-)
+from .classify import Classification, Geometry, classify, group_order_if_finite, is_bad_closed, theorem_check
 from .signature import (
     BoundaryCircle,
     PreconditionError,
@@ -40,6 +29,19 @@ from .signature import (
 )
 
 _LAZY = {
+    **dict.fromkeys(
+        (
+            "AbelianInvariants",
+            "IntegerMatrix",
+            "Presentation",
+            "SmithForm",
+            "abelianization",
+            "presentation_of_closed",
+            "relation_matrix",
+            "smith_normal_form",
+        ),
+        "orb2d.group",
+    ),
     **dict.fromkeys(("CoverWitness", "manifold_cover_search", "verify_witness"), "orb2d.cover"),
     **dict.fromkeys(
         (

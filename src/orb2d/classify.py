@@ -7,19 +7,22 @@ disk with one corner or with two corners of different orders.  Nothing
 non-orientable, punctured or with a manifold boundary circle is bad.
 Group finiteness is decided by the sign of the exact orbifold Euler
 characteristic.  Every finite group's order is read off the signature
-too (:func:`~orb2d.group.group_order_if_finite`): 2/chi for a good
-signature, or 1/chi when it has an end (a puncture or a manifold
-circle); 1 for the teardrop, gcd(p, q) for the spindle (p, q), and twice
-the order of its double for a bad mirror disk.
+too (:func:`group_order_if_finite`): 2/chi for a good signature, or 1/chi
+when it has an end (a puncture or a manifold circle); 1 for the teardrop,
+gcd(p, q) for the spindle (p, q), and twice the order of its double for a
+bad mirror disk.  Presentations and the Smith form live in
+:mod:`~orb2d.group`, which the classifier does not load.
 """
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
-from .group import InternalInconsistencyError, bad_list_orders, group_order_if_finite
 from .signature import (
+    MIRROR,
+    InternalInconsistencyError,
     PreconditionError,
     Signature,
     format_rational,
@@ -70,9 +73,52 @@ class Classification(NamedTuple):
         return json.dumps(self.to_record())
 
 
+def bad_list_orders(sig: Signature) -> tuple[int, ...] | None:
+    """Cone orders of the sphere that a bad ``sig`` is or doubles to, else None.
+
+    The bad list: a sphere with one cone or two cones of different orders,
+    or a mirror disk with one corner or two corners of different orders,
+    whose corners become the cones of its doubled sphere.
+    """
+    if not sig.orientable or sig.genus or sig.punctures:
+        return None
+    if not sig.boundary:
+        orders = sig.cones
+    elif len(sig.boundary) == 1 and sig.boundary[0].kind == MIRROR and not sig.cones:
+        orders = sig.boundary[0].corners
+    else:
+        return None
+    return orders if len(orders) == 1 or (len(orders) == 2 and orders[0] != orders[1]) else None
+
+
+def group_order_if_finite(sig: Signature, chi: Fraction, good: bool) -> int:
+    """Order of the orbifold fundamental group of any signature with chi > 0.
+
+    A good signature has order 2/chi, or 1/chi when it has an end (a
+    puncture or a manifold circle).  A bad one is on the bad list: the
+    teardrop's group is trivial and the spindle (p, q) has order gcd(p, q);
+    a bad mirror disk has twice the order of its double, so r(p) gives 2
+    and r(p, q) gives 2 gcd(p, q).
+    """
+    if chi <= 0:
+        raise PreconditionError("group order is defined only for chi > 0")
+    if good:
+        order = Fraction(1 if sig.has_end else 2) / chi
+        if order.denominator != 1:
+            raise InternalInconsistencyError(
+                f"good signature {sig} has non-integral order {order}"
+            )
+        return int(order)
+    orders = bad_list_orders(sig)
+    if orders is None:
+        raise InternalInconsistencyError(f"{sig} is not in the bad list")
+    base = gcd(*orders) if len(orders) == 2 else 1
+    return 2 * base if sig.boundary else base
+
+
 def is_bad_closed(sig: Signature) -> bool:
-    """The bad list (:func:`~orb2d.group.bad_list_orders`) on a closed
-    orientable cone-only signature."""
+    """The bad list (:func:`bad_list_orders`) on a closed orientable
+    cone-only signature."""
     if not sig.is_reduced:
         raise PreconditionError("bad list applies to closed orientable cone-only signatures")
     return bad_list_orders(sig) is not None

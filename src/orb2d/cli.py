@@ -10,8 +10,10 @@ consistency failure (a check of the program's own result failed: a
 theorem_check violation in catalog generation, a Smith form, a group order,
 or a search-produced cover witness), 141 stdout closed by its reader.
 
-The cover search and the reduction pipeline are imported by the commands
-that use them, so ``classify``, ``euler`` and ``catalog`` load neither.
+The presentations, the cover search and the reduction pipeline are
+imported by the commands that use them, so ``classify``, ``euler`` and
+``catalog`` load none of them, and ``reduce`` and ``cover`` do not load
+``group``.
 """
 from __future__ import annotations
 
@@ -23,13 +25,8 @@ import sys
 
 from .catalog import CatalogBounds, catalog_records
 from .classify import classify
-from .group import (
-    InternalInconsistencyError,
-    abelianization,
-    presentation_of_closed,
-    render_presentation,
-)
 from .signature import (
+    InternalInconsistencyError,
     PreconditionError,
     SignatureSyntaxError,
     SignatureValueError,
@@ -108,12 +105,16 @@ def _reduced(sig):
 
 
 def _pi1(sig, args):
+    from .group import presentation_of_closed, render_presentation
+
     reduced, record, lines = _reduced(sig)
     record["presentation"] = render_presentation(presentation_of_closed(reduced))
     return record, lines + [record["presentation"]]
 
 
 def _abel(sig, args):
+    from .group import abelianization, presentation_of_closed
+
     reduced, record, lines = _reduced(sig)
     invariants = abelianization(presentation_of_closed(reduced))
     record["free_rank"] = invariants.free_rank

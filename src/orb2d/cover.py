@@ -51,8 +51,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .group import InternalInconsistencyError
-from .signature import PreconditionError, Signature, format_rational, orbifold_euler
+from .signature import InternalInconsistencyError, PreconditionError, Signature, format_rational, orbifold_euler
 
 Perm = tuple[int, ...]
 
@@ -471,7 +470,9 @@ def search_at_degree(sig: Signature, n: int) -> CoverWitness | None:
     _check_degree("degree", n)
     if n % lcm(*sig.cones):
         return None
-    perms = _Search(sig, n).run()
+    # Degree 1 is reached only with no cones, and the one permutation of
+    # one point is a witness; a search would build 4g tables to find it.
+    perms = [(0,)] * (2 * sig.genus) if n == 1 else _Search(sig, n).run()
     if perms is None:
         return None
     k, cover_euler = len(sig.cones), n * orbifold_euler(sig)

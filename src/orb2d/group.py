@@ -14,12 +14,13 @@ with the genus.  All integer arithmetic is arbitrary precision.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from operator import index, mul
 from typing import NamedTuple
 
-from .signature import MIRROR, PreconditionError, Signature
+# group_order_if_finite is classify's; it is named here too because the
+# benchmark's tracer names its layer group.group_order_if_finite.
+from .classify import group_order_if_finite
+from .signature import InternalInconsistencyError, PreconditionError, Signature
 
 Word = tuple[tuple[str, int], ...]
 
@@ -32,10 +33,6 @@ MAX_RELATOR_LETTERS = 10_000_000
 # cubic in the cone count.  128 cones of orders 2-10 take 0.5-0.8 s (Python
 # 3.11, 2 CPUs); distinct large orders cost more, as the transforms grow.
 MAX_LIVE_COLUMNS = 128
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A computed value contradicts a structural guarantee; a bug, not input."""
 
 
 class Presentation(NamedTuple):
@@ -265,49 +262,6 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     free_rank += block.cols - len(diagonal) + sum(1 for d in diagonal if d == 0)
     torsion = tuple(d for d in diagonal if d > 1)
     return AbelianInvariants(free_rank, torsion)
-
-
-def bad_list_orders(sig: Signature) -> tuple[int, ...] | None:
-    """Cone orders of the sphere that a bad ``sig`` is or doubles to, else None.
-
-    The bad list: a sphere with one cone or two cones of different orders,
-    or a mirror disk with one corner or two corners of different orders,
-    whose corners become the cones of its doubled sphere.
-    """
-    if not sig.orientable or sig.genus or sig.punctures:
-        return None
-    if not sig.boundary:
-        orders = sig.cones
-    elif len(sig.boundary) == 1 and sig.boundary[0].kind == MIRROR and not sig.cones:
-        orders = sig.boundary[0].corners
-    else:
-        return None
-    return orders if len(orders) == 1 or (len(orders) == 2 and orders[0] != orders[1]) else None
-
-
-def group_order_if_finite(sig: Signature, chi: Fraction, good: bool) -> int:
-    """Order of the orbifold fundamental group of any signature with chi > 0.
-
-    A good signature has order 2/chi, or 1/chi when it has an end (a
-    puncture or a manifold circle).  A bad one is on the bad list: the
-    teardrop's group is trivial and the spindle (p, q) has order gcd(p, q);
-    a bad mirror disk has twice the order of its double, so r(p) gives 2
-    and r(p, q) gives 2 gcd(p, q).
-    """
-    if chi <= 0:
-        raise PreconditionError("group order is defined only for chi > 0")
-    if good:
-        order = Fraction(1 if sig.has_end else 2) / chi
-        if order.denominator != 1:
-            raise InternalInconsistencyError(
-                f"good signature {sig} has non-integral order {order}"
-            )
-        return int(order)
-    orders = bad_list_orders(sig)
-    if orders is None:
-        raise InternalInconsistencyError(f"{sig} is not in the bad list")
-    base = gcd(*orders) if len(orders) == 2 else 1
-    return 2 * base if sig.boundary else base
 
 
 def render_presentation(p: Presentation) -> str:

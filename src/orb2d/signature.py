@@ -39,6 +39,10 @@ class PreconditionError(ValueError):
     """An operation was applied to a signature outside its domain."""
 
 
+class InternalInconsistencyError(RuntimeError):
+    """A computed value contradicts a structural guarantee; a bug, not input."""
+
+
 def min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically minimal rotation of a cyclic sequence, in linear
     time (Booth 1980; Shiloach 1981): where starts ``i < j`` first differ,

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -284,20 +285,41 @@ class TestSearch:
             manifold_cover_search(sig("O;g=1"), MAX_DEGREE + 1)
 
     def test_depth_beyond_the_recursion_limit(self):
-        # At degree 1 every one of the 2g handle slots is its own branch, so
-        # the search is deeper than Python's recursion limit.
+        # At degree 2 nearly every one of the 4g handle slots is its own
+        # branch, so the search is deeper than Python's recursion limit.
         s = sig(f"O;g={sys.getrecursionlimit()}")
-        witness = search_at_degree(s, 1)
-        assert witness is not None and witness.degree == 1
+        witness = search_at_degree(s, 2)
+        assert witness is not None and witness.degree == 2
         assert verify_witness(s, witness).ok
 
+    def test_degree_one_builds_no_search_tables(self):
+        # The one permutation of one point is the witness; a search would
+        # hold 4g tables and a trail of 2g entries, about 29 MB at g = 20,000.
+        s = sig("O;g=20000")
+        tracemalloc.start()
+        try:
+            witness = search_at_degree(s, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness is not None and witness.degree == 1
+        assert peak < 10_000_000
+
     def test_degree_one_in_linear_time_in_the_genus(self):
-        # Every handle entry's scans would cross the earlier handle letters,
-        # a cost quadratic in the genus; no scan runs before b_g has an entry.
+        # Degree 1 runs no search; the witness and its check are linear.
         start = time.perf_counter()
         witness = manifold_cover_search(sig("O;g=8000"), 1)
         assert time.perf_counter() - start < 5
         assert witness is not None and witness.degree == 1
+
+    def test_degree_two_in_linear_time_in_the_genus(self):
+        # Every handle entry's scans would cross the earlier handle letters,
+        # a cost quadratic in the genus (25 s with the skip taken out, Python
+        # 3.11 on 2 CPUs); no scan runs before b_g has an entry.
+        start = time.perf_counter()
+        witness = search_at_degree(sig("O;g=8000"), 2)
+        assert time.perf_counter() - start < 5
+        assert witness is not None and witness.degree == 2
 
 
 # The brute force has its own cycle and orbit walks, so that a fault in the
@@ -433,14 +455,14 @@ class TestHandleSlotCuts:
 # record, or None where theory rules out a witness.  The two counts pin the
 # search tree: a node opens one frame or reaches a leaf, so a change that
 # tries another image, or skips one, moves them.  _dead_end is asked at
-# handle slots only, so never at genus 0.
+# handle slots only, so never at genus 0, and degree 1 runs no search.
 LADDER_RUNGS = (
     ("O;g=0;cones=2,2,2,2", 2, 3, 0, "3cc089965250"),
     ("O;g=0;cones=3,3,3", 3, 3, 0, "cac3b002366b"),
     ("O;g=0;cones=2,4,4", 4, 4, 0, "409b228716fc"),
     ("O;g=0;cones=2,3,6", 6, 5, 0, "635fad4dcc1e"),
     ("O;g=0;cones=2,2,3", 6, 3, 0, "fafb66c02ccb"),
-    ("O;g=1", 1, 3, 2, "695bcf7bc61d"),
+    ("O;g=1", 1, 0, 0, "695bcf7bc61d"),
     ("O;g=1;cones=2", 4, 10, 9, "192f05f552f8"),
     ("O;g=0;cones=2,5,5", 20, 16, 0, "12fcfc3f7787"),
     ("O;g=0;cones=3,3,4", 24, 13, 0, "e2bc9447ff80"),

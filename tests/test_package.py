@@ -1,7 +1,7 @@
-"""What ``import orb2d`` loads, and how its cover and reduce names resolve.
+"""What ``import orb2d`` loads, and how its group, cover and reduce names resolve.
 
-The package loads only the classifier layers; the cover and reduce names
-load their module on first use. The import checks run in a fresh
+The package loads only the classifier layers; the group, cover and reduce
+names load their module on first use. The import checks run in a fresh
 interpreter, since this test session has imported every module already.
 """
 import importlib
@@ -34,19 +34,29 @@ def added_modules(statement: str, setup: str = "") -> set[str]:
 
 def test_import_loads_only_the_classifier():
     added = added_modules("import orb2d")
-    assert {"orb2d.signature", "orb2d.group", "orb2d.classify"} <= added
-    assert not {"orb2d.cover", "orb2d.reduce", "json"} & added
+    assert {"orb2d.signature", "orb2d.classify"} <= added
+    assert not {"orb2d.group", "orb2d.cover", "orb2d.reduce", "json"} & added
 
 
 def test_cli_import_loads_neither_cover_nor_reduce():
     added = added_modules("import orb2d.cli")
     assert "orb2d.cli" in added
-    assert not {"orb2d.cover", "orb2d.reduce"} & added
+    assert not {"orb2d.group", "orb2d.cover", "orb2d.reduce"} & added
+
+
+def test_cover_import_loads_no_group():
+    added = added_modules("import orb2d.cover")
+    assert "orb2d.cover" in added
+    assert "orb2d.group" not in added
 
 
 @pytest.mark.parametrize(
     "name, module",
-    [("manifold_cover_search", "orb2d.cover"), ("reduce_to_closed", "orb2d.reduce")],
+    [
+        ("abelianization", "orb2d.group"),
+        ("manifold_cover_search", "orb2d.cover"),
+        ("reduce_to_closed", "orb2d.reduce"),
+    ],
 )
 def test_lazy_name_loads_its_own_module_only(name, module):
     added = added_modules(f"orb2d.{name}", setup="import orb2d")
@@ -65,8 +75,9 @@ def test_every_name_is_its_defining_modules_object():
     assert [name for name, *_ in rows] == orb2d.__all__
     for name, module, same, stored in rows:
         assert module.startswith("orb2d.") and same == "True", name
-        # A cover or reduce name is looked up on every access, never stored.
-        assert stored == str(module not in ("orb2d.cover", "orb2d.reduce")), name
+        # A group, cover or reduce name is looked up on every access, never
+        # stored; group_order_if_finite is classify's, so it is stored.
+        assert stored == str(module not in ("orb2d.group", "orb2d.cover", "orb2d.reduce")), name
 
 
 def test_star_import_binds_all():
@@ -90,7 +101,11 @@ def test_unknown_name_raises_the_standard_error():
 
 @pytest.mark.parametrize(
     "module, name",
-    [("orb2d.cover", "manifold_cover_search"), ("orb2d.reduce", "reduce_to_closed")],
+    [
+        ("orb2d.group", "smith_normal_form"),
+        ("orb2d.cover", "manifold_cover_search"),
+        ("orb2d.reduce", "reduce_to_closed"),
+    ],
 )
 def test_module_patch_shows_through_and_is_undone(monkeypatch, module, name):
     # The benchmark's tracer wraps a layer function in its module only, so
