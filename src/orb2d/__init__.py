@@ -77,41 +77,13 @@ def __dir__():
     return sorted({*globals(), *__all__})
 
 
-__all__ = [
-    "AbelianInvariants",
-    "BoundaryCircle",
-    "Classification",
-    "CoverWitness",
-    "Geometry",
-    "IntegerMatrix",
-    "PreconditionError",
-    "Presentation",
-    "ReductionStep",
-    "ReductionTrace",
-    "Signature",
-    "SignatureSyntaxError",
-    "SignatureValueError",
-    "SmithForm",
-    "abelianization",
-    "classify",
-    "end_cut",
-    "format_signature",
-    "group_order_if_finite",
-    "is_bad_closed",
-    "manifold_cover_search",
-    "manifold_double",
-    "mirror_double",
-    "orbifold_euler",
-    "orientation_double",
-    "parse_signature",
-    "presentation_of_closed",
-    "reduce_final",
-    "reduce_to_closed",
-    "relation_matrix",
-    "smith_normal_form",
-    "theorem_check",
-    "underlying_euler",
-    "verify_witness",
-]
+# The names imported above, and the lazy ones from _LAZY.
+__all__ = sorted([
+    *_LAZY,
+    "BoundaryCircle", "Classification", "Geometry", "PreconditionError", "Signature",
+    "SignatureSyntaxError", "SignatureValueError", "classify", "format_signature",
+    "group_order_if_finite", "is_bad_closed", "orbifold_euler", "parse_signature",
+    "theorem_check", "underlying_euler",
+])
 
 __version__ = "0.1.0"

@@ -45,11 +45,11 @@ def enumerate_signatures(
     cones and corners) but may be set separately.  A bound below 0 raises
     PreconditionError.
     """
-    for name, value in zip(CatalogBounds._fields, bounds[:-1]):
-        if value < 0:
-            raise PreconditionError(f"catalog bound {name} must be at least 0, not {value}")
     if max_corner_order is None:
         max_corner_order = bounds.max_order
+    for name, value in [*zip(CatalogBounds._fields, bounds[:-1]), ("max_corner_order", max_corner_order)]:
+        if value < 0:
+            raise PreconditionError(f"catalog bound {name} must be at least 0, not {value}")
     circles = (
         circle_types(bounds.max_corners_per_circle, max_corner_order)
         if bounds.max_boundary

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import NamedTuple
 
 from .signature import InternalInconsistencyError, PreconditionError, Signature, format_rational, orbifold_euler
@@ -58,15 +59,6 @@ Perm = tuple[int, ...]
 # Largest degree that search_at_degree and manifold_cover_search accept: far
 # above any degree whose search finishes, small enough to list the schedule.
 MAX_DEGREE = 10_000
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Left-to-right composition: apply p first, then q."""
-    return tuple(q[x] for x in p)
 
 
 def inverse(p: Perm) -> Perm:
@@ -136,13 +128,14 @@ class VerifyResult(NamedTuple):
 
 
 def _relator_product(w: CoverWitness) -> Perm:
-    prod = identity(w.degree)
+    """The long relator's permutation, its letters applied left to right."""
+    image = list(range(w.degree))
     for a, b in w.handle_images:
-        for factor in (a, b, inverse(a), inverse(b)):
-            prod = compose(prod, factor)
-    for x in w.cone_images:
-        prod = compose(prod, x)
-    return prod
+        for f in (a, b, inverse(a), inverse(b)):
+            image = [f[x] for x in image]
+    for f in w.cone_images:
+        image = [f[x] for x in image]
+    return tuple(image)
 
 
 def _orbit_size(n: int, tables: list) -> int:
@@ -184,7 +177,7 @@ def verify_witness(sig: Signature, w: CoverWitness) -> VerifyResult:
     for x, p in zip(w.cone_images, sig.cones):
         if set(_cycle_type(x)) - {p}:
             return VerifyResult(False, f"cycle type: a cone generator of order {p} has a cycle of other length")
-    if _relator_product(w) != identity(w.degree):
+    if _relator_product(w) != tuple(range(w.degree)):
         return VerifyResult(False, "relator: long relator does not act as the identity")
     if w.degree < 1 or _orbit_size(w.degree, all_perms) != w.degree:
         return VerifyResult(False, "transitivity: the action is not transitive")
@@ -198,10 +191,10 @@ def degree_schedule(sig: Signature, max_degree: int) -> list[int]:
     """Feasible cover degrees, in increasing order: the multiples n of every
     cone order with n * chi an even integer at most 2, the Euler
     characteristic 2 - 2g' of a closed orientable surface (Riemann-Hurwitz;
-    for chi > 0 that leaves only n = 2/chi).  max_degree must be between 1
-    and MAX_DEGREE.
+    for chi > 0 that leaves only n = 2/chi).  max_degree must be an integer
+    between 1 and MAX_DEGREE.
     """
-    _check_degree("max_degree", max_degree)
+    max_degree = _check_degree("max_degree", max_degree)
     if not sig.is_reduced:
         raise PreconditionError("cover search needs a closed orientable cone-only signature")
     base, chi = lcm(*sig.cones), orbifold_euler(sig)
@@ -451,23 +444,27 @@ class _Search:
                 return None
 
 
-def _check_degree(name: str, n: int) -> None:
+def _check_degree(name: str, n: int) -> int:
+    """n read with ``operator.index`` (a float raises TypeError, a bool reads
+    as 0 or 1), once it is known to be between 1 and MAX_DEGREE."""
+    n = index(n)
     if not 1 <= n <= MAX_DEGREE:
         raise PreconditionError(f"{name} must be between 1 and {MAX_DEGREE}")
+    return n
 
 
 def search_at_degree(sig: Signature, n: int) -> CoverWitness | None:
     """Canonical deterministic search for a witness of exactly degree n;
     sig must be closed, orientable and cone-only (``sig.is_reduced``), and
-    n between 1 and MAX_DEGREE.  A degree that some cone order does not
-    divide returns None without a search.
+    n an integer between 1 and MAX_DEGREE.  A degree that some cone order
+    does not divide returns None without a search.
 
     A found witness is re-checked by :func:`verify_witness`; one that fails
     raises :class:`InternalInconsistencyError`.
     """
     if not sig.is_reduced:
         raise PreconditionError("cover search needs a closed orientable cone-only signature")
-    _check_degree("degree", n)
+    n = _check_degree("degree", n)
     if n % lcm(*sig.cones):
         return None
     # Degree 1 is reached only with no cones, and the one permutation of
@@ -489,7 +486,7 @@ def manifold_cover_search(sig: Signature, max_degree: int) -> CoverWitness | Non
 
     Returns the witness of minimal degree found under the canonical
     search order, or None if no feasible degree up to max_degree admits
-    one.  max_degree must be between 1 and MAX_DEGREE.
+    one.  max_degree must be an integer between 1 and MAX_DEGREE.
     """
     return _first_witness(sig, degree_schedule(sig, max_degree))
 

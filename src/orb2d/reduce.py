@@ -74,12 +74,6 @@ class ReductionTrace(NamedTuple):
         return self.steps[-1].result if self.steps else self.start
 
 
-def _has_mirror(sig: Signature) -> bool:
-    """Whether a mirror circle is present. Canonical order puts manifold
-    circles first, so it is exactly when the last circle is one."""
-    return bool(sig.boundary) and sig.boundary[-1].kind == MIRROR
-
-
 def _double(sig: Signature, kind: StepKind, along: str | None = None) -> ReductionStep:
     """The double along every circle of kind ``along`` (none if ``None``)."""
     kept = []
@@ -106,7 +100,7 @@ def mirror_double(sig: Signature) -> ReductionStep:
     """Double along all mirror circles; manifold circles are duplicated."""
     if not sig.orientable:
         raise PreconditionError("mirror double needs orientable input")
-    if not _has_mirror(sig):
+    if not sig.has_mirror:
         raise PreconditionError("mirror double needs at least one mirror circle")
     return _double(sig, StepKind.MIRROR_DOUBLE, MIRROR)
 
@@ -126,7 +120,7 @@ def manifold_double(sig: Signature) -> ReductionStep:
     of a puncture-free input; the result is closed."""
     if not sig.orientable:
         raise PreconditionError("manifold double needs orientable input")
-    if _has_mirror(sig):
+    if sig.has_mirror:
         raise PreconditionError("manifold double needs mirror-free input")
     if sig.punctures:
         raise PreconditionError("manifold double needs puncture-free input")
@@ -143,7 +137,7 @@ def reduce_to_closed(sig: Signature) -> ReductionTrace:
         step = orientation_double(current)
         steps.append(step)
         current = step.result
-    if _has_mirror(current):
+    if current.has_mirror:
         step = mirror_double(current)
         steps.append(step)
         current = step.result

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 MANIFOLD = "m"
 MIRROR = "r"
@@ -135,10 +135,10 @@ class Signature(NamedTuple):
         """A puncture or a manifold circle; canonical order puts manifold circles first."""
         return self.punctures > 0 or (bool(self.boundary) and self.boundary[0].kind == MANIFOLD)
 
-    def corners(self) -> Iterator[int]:
-        """All corner-reflector orders across mirror circles."""
-        for circle in self.boundary:
-            yield from circle.corners
+    @property
+    def has_mirror(self) -> bool:
+        """A mirror circle; canonical order puts mirror circles last."""
+        return bool(self.boundary) and self.boundary[-1].kind == MIRROR
 
     def __str__(self) -> str:
         return format_signature(self)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from orb2d.catalog import CatalogBounds, enumerate_signatures
-from orb2d.classify import classify
+from orb2d.classify import classify, group_order_if_finite
 from orb2d.cover import (
     cycles,
     inverse,
@@ -20,7 +20,6 @@ from orb2d.cover import (
 )
 from orb2d.group import (
     abelianization,
-    group_order_if_finite,
     presentation_of_closed,
     relation_matrix,
     smith_normal_form,

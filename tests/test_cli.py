@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -52,13 +53,18 @@ class TestCatalogModule:
             seen.add(text)
         assert "N;g=1;pun=1;cones=2,3;bdry=m,r(2,3)" in seen
 
-    @pytest.mark.parametrize("field", CatalogBounds._fields[:-1])
+    @pytest.mark.parametrize("field", [*CatalogBounds._fields[:-1], "max_corner_order"])
     def test_negative_bound_is_refused(self, field):
         # The library states the rule that the command line's options check.
+        def texts(value):
+            if field == "max_corner_order":  # enumerate_signatures' own bound
+                bounds = CatalogBounds(max_boundary=1, max_corners_per_circle=2, max_order=3)
+                return [format_signature(s) for s in enumerate_signatures(bounds, value)]
+            return [record["sig"] for record in catalog_records(CatalogBounds(**{field: value}))[0]]
+
         with pytest.raises(PreconditionError, match=f"{field} must be at least 0, not -1"):
-            catalog_records(CatalogBounds(**{field: -1}))
-        records, _ = catalog_records(CatalogBounds(**{field: 0}))
-        assert records[0]["sig"] == "O;g=0"  # a bound of 0 is allowed
+            texts(-1)
+        assert texts(0)[0] == "O;g=0"  # a bound of 0 is allowed
 
     def test_example_catalog_counts(self):
         # Closed orientable genus 0, up to two cones of order at most 3.
@@ -493,14 +499,22 @@ class TestCliErrors:
 
 
 # Texts over the signature grammar: token soup (grammar tokens, spaces and
-# integers 0-40), and fields with well-formed or soup values after an
+# integers), and fields with well-formed or soup values after an
 # orientation, so that some texts parse and reach each command. An integer
 # token is never followed by another, which would spell a larger integer.
-_INT = st.integers(0, 40).map(str)
+# Integers are small, where answers vary, or up to 10**12 (13 digits, far
+# below the 4,300 that int() reads), and are spelled in ASCII digits or in
+# the decimal digits of another script, which the grammar reads alike.
+_ZEROS = ["\u0660", "\u0966", "\uff10", "\U0001d7ce"]  # Arabic-Indic, Devanagari, fullwidth, bold
+_INT = st.builds(
+    lambda n, zero: str(n) if zero is None else "".join(chr(ord(zero) + int(d)) for d in str(n)),
+    st.one_of(st.integers(0, 40), st.integers(0, 10**12)),
+    st.one_of(st.none(), st.sampled_from(_ZEROS)),
+)
 _GRAMMAR = ["O", "N", ";", "g=", "pun=", "cones=", "bdry=", "m", "r(", ")", ",", " "]
 _TOKENS = st.tuples(st.sampled_from(_GRAMMAR), st.one_of(st.just(""), _INT)).map("".join)
 _SOUP = st.lists(_TOKENS, max_size=10).map("".join)
-_CIRCLE = st.one_of(st.just("m"), st.lists(_INT, max_size=2).map(lambda c: f"r({','.join(c)})"))
+_CIRCLE = st.one_of(st.just("m"), st.lists(_INT, max_size=3).map(lambda c: f"r({','.join(c)})"))
 _FIELD = st.one_of(
     _INT.map("pun={}".format),
     st.lists(_INT, min_size=1, max_size=3).map(lambda c: "cones=" + ",".join(c)),
@@ -528,8 +542,12 @@ class TestCliFuzz:
     def test_defined_outcome(self, text, command, as_json):
         argv = (["--format", "json"] if as_json else []) + [command, text]
         out, err = io.StringIO(), io.StringIO()
+        start = time.process_time()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
+        # Every count a short text can spell is bounded or refused; cover,
+        # whose search has no budget yet, is not drawn.
+        assert time.process_time() - start < 2, argv
         assert code in (0, EXIT_PARSE, EXIT_PRECONDITION)
         assert "Traceback" not in err.getvalue()
         if code:

@@ -19,10 +19,8 @@ from orb2d.cover import (
     _orbit_size,
     _relator_product,
     _Search,
-    compose,
     cycles,
     degree_schedule,
-    identity,
     inverse,
     manifold_cover_search,
     search_at_degree,
@@ -45,15 +43,18 @@ def perm_of_cycles(n, cycle_list):
     return tuple(images)
 
 
-class TestPermutationHelpers:
-    def test_compose_left_to_right(self):
-        p = perm_of_cycles(3, [[0, 1]])
-        q = perm_of_cycles(3, [[1, 2]])
-        assert compose(p, q) == (2, 0, 1)  # 0 -> 1 -> 2
+def identity(n):
+    return tuple(range(n))
 
+
+def compose(p, q):
+    """Left to right: apply p first, then q."""
+    return tuple(q[x] for x in p)
+
+
+class TestPermutationHelpers:
     def test_inverse(self):
-        p = perm_of_cycles(4, [[0, 1, 2]])
-        assert compose(p, inverse(p)) == identity(4)
+        assert inverse(perm_of_cycles(4, [[0, 1, 2]])) == perm_of_cycles(4, [[0, 2, 1]])
 
     def test_cycles_sorted_by_least_element(self):
         p = perm_of_cycles(6, [[4, 5], [0, 2, 1]])
@@ -155,6 +156,18 @@ class TestDegreeSchedule:
         with pytest.raises(PreconditionError, match=f"must be between 1 and {MAX_DEGREE}"):
             search(sig("O;g=1"), degree)
         assert built == []
+
+    @pytest.mark.parametrize("search", [search_at_degree, manifold_cover_search, degree_schedule])
+    @pytest.mark.parametrize("degree", [2.5, 4.0, Fraction(4), "4"])
+    def test_non_integer_degree_refused(self, built, search, degree):
+        # Read with operator.index at the entry: no silent "no witness" for
+        # 2.5, and no TypeError from inside the search for 4.0.
+        with pytest.raises(TypeError):
+            search(sig("O;g=0;cones=2,2,2,2"), degree)
+        assert built == []
+
+    def test_bool_degree_reads_as_int(self):
+        assert type(search_at_degree(sig("O;g=1"), True).degree) is int
 
     def test_non_divisible_degree_ends_before_the_search(self, built):
         # A cone generator of order p has only p-cycles, so p divides n;

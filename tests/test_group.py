@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from orb2d.catalog import enumerate_signatures
+from orb2d.classify import group_order_if_finite
 from orb2d.group import (
     AbelianInvariants,
     IntegerMatrix,
@@ -17,7 +18,6 @@ from orb2d.group import (
     SmithForm,
     _check_smith,
     abelianization,
-    group_order_if_finite,
     presentation_of_closed,
     relation_matrix,
     render_presentation,

@@ -194,6 +194,12 @@ class TestCanonicalization:
         for sig in suite():
             assert sig.has_end == (sig.punctures > 0 or any(c.kind == MANIFOLD for c in sig.boundary))
 
+    def test_has_mirror_reads_the_last_circle(self):
+        # has_mirror reads only the last circle, which canonical order makes
+        # a mirror circle whenever there is one.
+        for sig in suite():
+            assert sig.has_mirror == any(c.kind == MIRROR for c in sig.boundary)
+
 
 class TestEuler:
     @pytest.mark.parametrize(
@@ -222,7 +228,7 @@ class TestEuler:
         chi = Fraction(underlying_euler(sig))
         for p in sig.cones:
             chi -= 1 - Fraction(1, p)
-        for n in sig.corners():
+        for n in (n for c in sig.boundary for n in c.corners):
             chi -= Fraction(1, 2) * (1 - Fraction(1, n))
         assert orbifold_euler(sig) == chi
 
@@ -230,7 +236,7 @@ class TestEuler:
     def test_at_most_underlying(self, sig):
         chi = orbifold_euler(sig)
         assert chi <= underlying_euler(sig)
-        singular = sig.cones or tuple(sig.corners())
+        singular = sig.cones or tuple(n for c in sig.boundary for n in c.corners)
         assert (chi == underlying_euler(sig)) == (not singular)
 
     def test_many_cones_in_linear_time(self):
