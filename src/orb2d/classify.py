@@ -161,12 +161,13 @@ def theorem_check(sig: Signature) -> Classification:
     :class:`InternalInconsistencyError` naming the signature and the clauses.
     """
     cls = classify(sig)
+    sign = cls.euler.numerator  # as in classify: denominators are positive
     failed = []
-    if cls.euler <= 0 and not cls.good:
+    if sign <= 0 and not cls.good:
         failed.append("a:infinite-implies-good")
     if sig.has_end and not cls.good:
         failed.append("b:open-or-manifold-bounded-implies-good")
-    if cls.good and sig.is_closed and cls.euler > 0 and (Fraction(2) / cls.euler).denominator != 1:
+    if cls.good and sig.is_closed and sign > 0 and (Fraction(2) / cls.euler).denominator != 1:
         failed.append("c:spherical-order-integral")
     if failed:
         raise InternalInconsistencyError(

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -9,13 +11,18 @@ from hypothesis import strategies as st
 from conftest import signatures
 from cursor_parser import PIECES, check_seed_texts, cursor_parse, outcome
 from test_acceptance import suite
+from orb2d.cli import main
 from orb2d.signature import (
     MANIFOLD,
     MIRROR,
     BoundaryCircle,
+    PreconditionError,
     Signature,
     SignatureSyntaxError,
     SignatureValueError,
+    _boundary_part,
+    _cone_part,
+    format_rational,
     format_signature,
     min_rotation,
     orbifold_euler,
@@ -252,3 +259,98 @@ class TestEuler:
         assert orbifold_euler(parse_signature("O;g=0")) == 2
         assert orbifold_euler(parse_signature("O;g=1")) == 0
         assert orbifold_euler(parse_signature("O;g=2")) == -2
+
+
+def _plain_format(sig):
+    """The canonical text built field by field and circle by circle, with no memo."""
+    parts = ["O" if sig.orientable else "N", f"g={sig.genus}"]
+    if sig.punctures:
+        parts.append(f"pun={sig.punctures}")
+    if sig.cones:
+        parts.append("cones=" + ",".join(map(str, sig.cones)))
+    if sig.boundary:
+        rendered = []
+        for circle in sig.boundary:
+            if circle.kind == MANIFOLD:
+                rendered.append("m")
+            else:
+                rendered.append("r(" + ",".join(map(str, circle.corners)) + ")")
+        parts.append("bdry=" + ",".join(rendered))
+    return ";".join(parts)
+
+
+def _plain_defects():
+    """χ's defect per cone multiset and per boundary multiset as a plain
+    Fraction sum, each part summed once."""
+    cones, boundaries = {}, {}
+
+    def defects(sig):
+        if sig.cones not in cones:
+            cones[sig.cones] = sum((Fraction(p - 1, p) for p in sig.cones), Fraction(0))
+        if sig.boundary not in boundaries:
+            corners = (n for circle in sig.boundary for n in circle.corners)
+            boundaries[sig.boundary] = sum((Fraction(n - 1, 2 * n) for n in corners), Fraction(0))
+        return cones[sig.cones], boundaries[sig.boundary]
+
+    return defects
+
+
+class TestPartMemo:
+    """format_signature and orbifold_euler read each signature's cone and
+    boundary parts through bounded memos; the memos change no answer."""
+
+    MEMOS = (_cone_part, _boundary_part)
+    SUITE_DIGEST = "2a21e93593c04de948bde70bcf3ff3a2dd1792ee5d06a5d948388756dc42b868"
+
+    def _digest(self, sigs, check=None):
+        digest = hashlib.sha256()
+        for sig in sigs:
+            text, chi = format_signature(sig), orbifold_euler(sig)
+            if check:
+                check(sig, text, chi)
+            digest.update(f"{text} {format_rational(chi)}\n".encode())
+        return digest.hexdigest()
+
+    def test_cold_and_warm_match_plain_oracles_over_suite(self):
+        defects = _plain_defects()
+
+        def check(sig, text, chi):
+            cone_defect, corner_defect = defects(sig)
+            assert text == _plain_format(sig)
+            assert chi == underlying_euler(sig) - cone_defect - corner_defect, text
+
+        sigs = list(suite())
+        for memo in self.MEMOS:
+            memo.cache_clear()
+        # Cleared, every part is built on its first signature and checked
+        # there; warm, every part is read back, and the digest shows the
+        # same text and χ for every signature.
+        assert self._digest(sigs, check) == self.SUITE_DIGEST
+        assert self._digest(sigs) == self.SUITE_DIGEST
+
+    def test_memos_stay_within_their_bound(self):
+        for sig in suite():
+            orbifold_euler(sig)
+        for memo in self.MEMOS:
+            info = memo.cache_info()
+            assert 0 < info.currsize <= info.maxsize, info
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter prints integers of any length",
+    )
+    def test_unprintable_order_has_euler_but_no_text(self):
+        order = 10 ** sys.get_int_max_str_digits()
+        sig = Signature(True, 0, 0, (BoundaryCircle(MIRROR, (order,)),), (order,))
+        assert orbifold_euler(sig) == underlying_euler(sig) - Fraction(order - 1, order) - Fraction(order - 1, 2 * order)
+        with pytest.raises(PreconditionError, match="cannot be printed"):
+            format_signature(sig)
+
+    def test_benchmark_catalog_records_file(self, capsys, tmp_path):
+        target = tmp_path / "catalog.jsonl"
+        bounds = ["--max-genus", "1", "--max-cones", "2", "--max-order", "4",
+                  "--max-boundary", "2", "--max-corners", "2", "--max-punctures", "2"]
+        assert main(["catalog", *bounds, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == "total=7020 good=7008 bad=12 finite=39 infinite=6981\n"
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == "bb032eb7a04719e8da6419ada1acd35f5b5f4ff8a6ef1d08783ee671bc41c574"
