@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .classify import theorem_check
@@ -73,17 +72,25 @@ def enumerate_signatures(
                         yield Signature(orientable, genus, punctures, boundary, cones)
 
 
-def catalog_records(bounds: CatalogBounds) -> tuple[list[dict], dict]:
-    """Classification records in canonical-text order, plus summary counts.
+def catalog_records(bounds: CatalogBounds) -> tuple[list[str], dict]:
+    """Classification records as JSON lines in canonical-text order, plus
+    summary counts.
 
-    Every record goes through theorem_check, which raises on a violated
-    clause (an implementation bug, not bad input).
+    Each line is a record's :meth:`~orb2d.classify.Classification.to_json`
+    text and a newline.  Every record goes through theorem_check, which
+    raises on a violated clause (an implementation bug, not bad input).
     """
-    records = [theorem_check(sig).to_record() for sig in enumerate_signatures(bounds)]
-    # Canonical text is unique, so sorting on it alone fixes the order.
-    records.sort(key=itemgetter("sig"))
-    total = len(records)
-    good = sum(record["good"] for record in records)
-    finite = sum(record["finite"] for record in records)
+    lines = []
+    good = finite = 0
+    for sig in enumerate_signatures(bounds):
+        cls = theorem_check(sig)
+        lines.append(cls.to_json() + "\n")
+        good += cls.good
+        finite += cls.group_finite
+    # Each line begins '{"sig": "' and the canonical text, whose closing '"'
+    # (0x22) sorts below every character canonical text uses; so sorting the
+    # lines sorts by the text, which is unique and so fixes the order.
+    lines.sort()
+    total = len(lines)
     summary = dict(total=total, good=good, bad=total - good, finite=finite, infinite=total - finite)
-    return records, summary
+    return lines, summary

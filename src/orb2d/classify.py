@@ -68,9 +68,24 @@ class Classification(NamedTuple):
         }
 
     def to_json(self) -> str:
-        import json  # loaded on first use, not by import orb2d
+        """:meth:`to_record` as JSON text, the text ``json.dumps`` writes for it.
 
-        return json.dumps(self.to_record())
+        One template writes it, since no field can need escaping: canonical
+        text uses only ``ON;=,()``, the field names and decimal digits,
+        euler is digits over digits with an optional minus sign, and
+        geometry a lowercase enum value.  The fields are evaluated in
+        :meth:`to_record`'s order, so an unprintable order raises at the
+        same point.
+        """
+        sig, euler, good, finite, order, geometry = self
+        return '{"sig": "%s", "euler": "%s", "good": %s, "finite": %s, "order": %s, "geometry": "%s"}' % (
+            format_signature(sig),
+            format_rational(euler),
+            "true" if good else "false",
+            "true" if finite else "false",
+            "null" if order is None else printable_integer(order),
+            geometry.value,
+        )
 
 
 def bad_list_orders(sig: Signature) -> tuple[int, ...] | None:

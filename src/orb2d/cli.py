@@ -164,11 +164,10 @@ def _catalog(args):
         print(f"cannot open --out {args.out!r}: {err.strerror}", file=sys.stderr)
         return None
     with out as stream:
-        records, summary = catalog_records(bounds)
+        lines, summary = catalog_records(bounds)
         if to_file and os.path.isfile(args.out):
             stream.truncate(0)  # as "w" would; a device or a pipe cannot be truncated
-        for record in records:
-            stream.write(json.dumps(record) + "\n")
+        stream.writelines(lines)
     return summary, [_fields_line(summary)]
 
 

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 
 from conftest import signatures
+from orb2d.catalog import CatalogBounds, catalog_records, enumerate_signatures
 from orb2d.classify import Geometry, classify, is_bad_closed, theorem_check
 from orb2d.group import InternalInconsistencyError, abelianization, presentation_of_closed
 from orb2d.reduce import StepKind, reduce_to_closed
 from orb2d.signature import PreconditionError, Signature, orbifold_euler, parse_signature
-from test_acceptance import suite
+from test_acceptance import CONE_BOUNDS, suite
 
 
 def sig(text):
@@ -228,6 +229,66 @@ class TestSerialization:
         parsed = json.loads(c.to_json())
         assert parse_signature(parsed["sig"]) == c.signature
         assert parsed["geometry"] == c.geometry.value
+
+
+# The benchmark's catalog (7,020 records) and the installed-command check's
+# (80,325 records).
+BENCHMARK_BOUNDS = CatalogBounds(
+    max_genus=1, max_cones=2, max_order=4, max_boundary=2, max_corners_per_circle=2, max_punctures=2
+)
+CI_BOUNDS = CatalogBounds(
+    max_genus=2, max_cones=3, max_order=5, max_boundary=2, max_corners_per_circle=2, max_punctures=2
+)
+
+
+def assert_template_is_json_dumps(c):
+    line = c.to_json()
+    assert line == json.dumps(c.to_record())
+    assert "\\" not in line and json.dumps(json.loads(line)) == line
+
+
+class TestJsonTemplate:
+    @pytest.mark.parametrize("bounds", [BENCHMARK_BOUNDS, CONE_BOUNDS], ids=["benchmark", "cones"])
+    def test_every_catalog_record(self, bounds):
+        for s in enumerate_signatures(bounds):
+            assert_template_is_json_dumps(classify(s))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "O;g=0;cones=4,6",  # bad: the spindle, of order gcd(4, 6)
+            "O;g=1",  # chi = 0
+            "O;g=2",  # order None
+            "O;g=1000000",
+            "N;g=1;cones=" + "9" * 300,  # order 2n, of 301 digits
+            "N;g=3;pun=2;cones=2,5;bdry=m,r(2,3),r()",
+        ],
+        ids=["spindle", "chi-zero", "order-none", "genus-1e6", "order-301-digits", "every-part"],
+    )
+    def test_edge_cases(self, text):
+        assert_template_is_json_dumps(classify(sig(text)))
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter prints integers of any length",
+    )
+    def test_unprintable_order_raises_as_the_record_does(self):
+        past_cap = 10 ** sys.get_int_max_str_digits()
+        # A cone order past the cap, and a printable cone order n whose
+        # group order 4n is past it.
+        for cones in [(past_cap,), (2, 2, past_cap - 1)]:
+            c = classify(Signature(True, 0, 0, (), cones))
+            with pytest.raises(PreconditionError, match="cannot be printed") as record:
+                c.to_record()
+            with pytest.raises(PreconditionError) as line:
+                c.to_json()
+            assert str(line.value) == str(record.value)
+
+    @pytest.mark.parametrize("bounds", [BENCHMARK_BOUNDS, CI_BOUNDS], ids=["benchmark", "ci"])
+    def test_catalog_lines_are_in_text_order(self, bounds):
+        lines, summary = catalog_records(bounds)
+        assert len(lines) == summary["total"]
+        assert lines == sorted(lines, key=lambda line: json.loads(line)["sig"])
 
 
 class TestTheoremCheck:

@@ -60,7 +60,7 @@ class TestCatalogModule:
             if field == "max_corner_order":  # enumerate_signatures' own bound
                 bounds = CatalogBounds(max_boundary=1, max_corners_per_circle=2, max_order=3)
                 return [format_signature(s) for s in enumerate_signatures(bounds, value)]
-            return [record["sig"] for record in catalog_records(CatalogBounds(**{field: value}))[0]]
+            return [json.loads(line)["sig"] for line in catalog_records(CatalogBounds(**{field: value}))[0]]
 
         with pytest.raises(PreconditionError, match=f"{field} must be at least 0, not -1"):
             texts(-1)
@@ -68,7 +68,8 @@ class TestCatalogModule:
 
     def test_example_catalog_counts(self):
         # Closed orientable genus 0, up to two cones of order at most 3.
-        records, summary = catalog_records(CatalogBounds(max_cones=2, max_order=3, orientable_only=True))
+        lines, summary = catalog_records(CatalogBounds(max_cones=2, max_order=3, orientable_only=True))
+        records = [json.loads(line) for line in lines]
         assert summary == {"total": 6, "good": 3, "bad": 3, "finite": 6, "infinite": 0}
         bad = {r["sig"] for r in records if not r["good"]}
         assert bad == {"O;g=0;cones=2", "O;g=0;cones=3", "O;g=0;cones=2,3"}
@@ -77,8 +78,8 @@ class TestCatalogModule:
     def test_records_match_direct_classification(self):
         from orb2d.classify import classify
 
-        records, _ = catalog_records(CatalogBounds(max_genus=1, max_cones=1, max_order=3))
-        for record in records:
+        lines, _ = catalog_records(CatalogBounds(max_genus=1, max_cones=1, max_order=3))
+        for record in map(json.loads, lines):
             assert record == classify(parse_signature(record["sig"])).to_record()
 
 

@@ -128,3 +128,12 @@ def test_lazy_name_found_by_the_normal_lookup(name, module):
     # AttributeError, which Python 3.11 builds and clears on every access;
     # object.__getattribute__ is that lookup alone, with no fallback.
     assert object.__getattribute__(orb2d, name) is getattr(importlib.import_module(module), name)
+
+
+def test_classify_module_is_reached_through_importlib():
+    # The package attribute orb2d.classify is the function, and
+    # "import orb2d.classify as m" binds that attribute; importlib returns
+    # the module.
+    module = importlib.import_module("orb2d.classify")
+    assert module is sys.modules["orb2d.classify"]
+    assert module.classify is orb2d.classify
