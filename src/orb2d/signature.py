@@ -11,13 +11,22 @@ Signatures are kept in a canonical form so that equality is decidable by
 value comparison: cone orders sorted ascending, boundary circles sorted
 with manifold circles first, and each corner sequence rotated to its
 lexicographically minimal rotation.
+
+Text is parsed in one of two ways.  Well-formed text, which is nearly all
+of it, is confirmed by one match of the whole grammar and its values are
+read with ``str.split``.  Only text that the match refuses, or that
+repeats a field, omits ``g`` or holds an integer that ``int()`` refuses,
+goes through a token walk, which finds the first fault and reports it
+with its position.  Either way :meth:`Signature.make` validates the values
+and builds the canonical form.
 """
 from __future__ import annotations
 
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from operator import index
 from typing import Iterable, NamedTuple
 
 MANIFOLD = "m"
@@ -73,6 +82,9 @@ class BoundaryCircle(NamedTuple):
     corners: tuple[int, ...] = ()
 
 
+_MANIFOLD_CIRCLE = BoundaryCircle(MANIFOLD)
+
+
 class Signature(NamedTuple):
     """Canonical signature of a finite-type 2-orbifold.
 
@@ -93,31 +105,39 @@ class Signature(NamedTuple):
         orientable: bool,
         genus: int,
         punctures: int = 0,
-        boundary: Iterable[BoundaryCircle] = (),
+        boundary: Iterable[tuple[str, Iterable[int]]] = (),
         cones: Iterable[int] = (),
     ) -> "Signature":
+        """Validated, canonical signature.  Each boundary circle is read as
+        a ``(kind, corners)`` pair, such as a :class:`BoundaryCircle`.  The
+        genus, the punctures and each order are read with
+        ``operator.index``: a float raises TypeError, and a bool reads as 0
+        or 1."""
+        genus = index(genus)
         if genus < 0:
             raise SignatureValueError("genus must be nonnegative")
         if not orientable and genus == 0:
             raise SignatureValueError("non-orientable signature needs genus >= 1")
+        punctures = index(punctures)
         if punctures < 0:
             raise SignatureValueError("punctures must be nonnegative")
-        cone_tuple = tuple(sorted(cones))
+        cone_tuple = tuple(sorted(map(index, cones)))
         if cone_tuple and cone_tuple[0] < 2:
             raise SignatureValueError(f"cone order {cone_tuple[0]} < 2")
         circles = []
-        for circle in boundary:
-            if circle.kind == MANIFOLD:
-                if circle.corners:
+        for kind, corners in boundary:
+            if kind == MANIFOLD:
+                if corners:
                     raise SignatureValueError("manifold circle cannot carry corners")
-                circles.append(circle)
-            elif circle.kind == MIRROR:
-                for n in circle.corners:
+                circles.append(_MANIFOLD_CIRCLE)
+            elif kind == MIRROR:
+                corners = tuple(map(index, corners))
+                for n in corners:
                     if n < 2:
                         raise SignatureValueError(f"corner order {n} < 2")
-                circles.append(BoundaryCircle(MIRROR, min_rotation(tuple(circle.corners))))
+                circles.append(BoundaryCircle(MIRROR, min_rotation(corners)))
             else:
-                raise SignatureValueError(f"unknown boundary kind {circle.kind!r}")
+                raise SignatureValueError(f"unknown boundary kind {kind!r}")
         circles.sort()  # by kind, and "m" < "r": manifold circles first
         return cls(orientable, genus, punctures, tuple(circles), cone_tuple)
 
@@ -234,6 +254,21 @@ def _unprintable(what: str) -> PreconditionError:
     return PreconditionError(f"{what} with over {limit} digits cannot be printed")
 
 
+@cache
+def _grammar() -> re.Pattern[str]:
+    """The grammar of accepted text, compiled on first use, so that a
+    program that parses nothing (``orb2d catalog``) does not pay for it.
+
+    Whitespace (``\\s``, what str.split drops) may stand only between
+    tokens; an INT is a run of ``\\d``, the characters that str.isdecimal
+    and int() take.
+    """
+    s = r"\s*"
+    ints = rf"\d+(?:{s},{s}\d+)*"
+    circle = rf"(?:m|r{s}\({s}(?:{ints}{s})?\))"
+    field = rf"(?:g|pun){s}={s}\d+|cones{s}={s}{ints}|bdry{s}={s}{circle}(?:{s},{s}{circle})*"
+    return re.compile(rf"{s}[ON](?:{s};{s}(?:{field}))*{s}")
+
 # A token is grammar punctuation (the commonest, so tried first), a run of
 # decimal digits, a run of letters or one other character.  No alternative
 # matches whitespace, so findall skips it between tokens.
@@ -256,7 +291,41 @@ def parse_signature(text: str) -> Signature:
     split an integer or a name.  An INT is a run of any Unicode decimal
     digits, read as ``int()`` reads them.  A parse error is a
     :class:`SignatureSyntaxError` that reports its position.
+
+    Well-formed text is confirmed by one match of the grammar and read
+    with ``str.split``.  Text the match refuses, and text with a repeated
+    or missing field or an integer ``int()`` refuses, goes to
+    :func:`_token_walk`, which finds and reports the fault.
     """
+    if _grammar().fullmatch(text):
+        compact = "".join(text.split())
+        flat = compact[2:].replace(";", "=").split("=")  # name, value, name, value, ...
+        fields = dict(zip(flat[::2], flat[1::2]))
+        if "g" in fields and 2 * len(fields) == len(flat):
+            try:
+                cones = list(map(int, fields["cones"].split(","))) if "cones" in fields else ()
+                circles = _circles(fields["bdry"]) if "bdry" in fields else ()
+                genus, punctures = int(fields["g"]), int(fields.get("pun", 0))
+            except ValueError:
+                pass  # past int()'s digit limit: the walk raises int()'s error where it meets it
+            else:
+                return Signature.make(compact[0] == "O", genus, punctures, circles, cones)
+    return _token_walk(text)
+
+
+def _circles(bdry: str) -> list[tuple[str, tuple[int, ...]]]:
+    """``(kind, corners)`` of each circle in a well-formed ``bdry`` value,
+    manifold circles first; :meth:`Signature.make` builds the circles."""
+    circles = [_MANIFOLD_CIRCLE] * bdry.count("m")
+    for piece in bdry.split("(")[1:]:
+        corners = piece[: piece.index(")")]
+        circles.append((MIRROR, tuple(map(int, corners.split(","))) if corners else ()))
+    return circles
+
+
+def _token_walk(text: str) -> Signature:
+    """:func:`parse_signature` one token at a time, raising the first fault
+    with its position."""
     tokens = _TOKEN.findall(text)
     tokens += "", ""  # end marks: a list scan reads one token past a last ','
     if not text.isascii():  # [^\W\d_] also takes numerals that isalpha refuses

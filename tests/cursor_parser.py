@@ -1,9 +1,11 @@
 """The character-at-a-time signature parser, kept as a reference.
 
-``orb2d.signature.parse_signature`` reads the same grammar from one regex
-token pass; ``test_signature.TestParserOracle`` checks that both give an
-equal ``Signature`` or the same exception (type, message and position) on
-every text.  This module needs neither pytest nor hypothesis, so the seed
+``orb2d.signature.parse_signature`` reads the same grammar another way:
+one regex match of the whole grammar accepts well-formed text, and a token
+walk runs only on text the match refuses, to find and report its fault.
+``test_signature.TestParserOracle`` checks that both parsers give an equal
+``Signature`` or the same exception (type, message and position) on every
+text.  This module needs neither pytest nor hypothesis, so the seed
 texts can be compared on any interpreter::
 
     PYTHONPATH=src:tests python -c "import cursor_parser as c; print(c.check_seed_texts())"
@@ -133,11 +135,12 @@ def outcome(parse: Callable[[str], Signature], text: str) -> object:
 
 
 # Characters the grammar uses, characters where str.isspace, isdecimal or
-# isalpha and the token regex could part ways, glued runs and an integer
-# past int()'s 4,300-digit limit.
+# isalpha and the regexes could part ways, glued runs and an integer past
+# int()'s 4,300-digit limit.
 PIECES = (
     *"ONgpuncosbdrym=;,()0123456789 ",
-    "\t", "\n", "\xa0", "\u2003", "\u0663", "\xb2", "\xbd", "\xe9", "_",
+    "\t", "\n", "\xa0", "\u2003", "\x1c", "\x85", "\u3000", "\u0663", "\uff11",
+    "\xb2", "\xbd", "\xe9", "_",
     "ON", "g2", "m2", "r2", "O;", ";g=", ";pun=", ";cones=", ";bdry=", "r(",
     "7" * 5000,
 )
@@ -157,6 +160,11 @@ SEED_TEXTS = (
     "O;_g=0", "O;g=0;cones=" + "7" * 5000,
     "O;g=0;cones=" + "7" * 5000 + ",x", "O;g=0;cones=x," + "7" * 5000,
     "O;g=0;bdry=r(2,3,2,3)", "O;g=0;cones=1", "N;g=0", "O;g=0;bdry=r(1)",
+    # Valid but for whitespace inside a name or an integer.
+    "O;g=0;pu n=1", "O;g=0;co nes=2", "O;g=0;bdry=r(2 3)", "O;g=0;bdry=m m",
+    "O;g=0;cones=2,3 ,4 5",
+    "O ; g = 0 ; g = 1", "O;g=0;cones=" + "7" * 5000 + " ,x",
+    "O;pun=" + "7" * 5001 + ";g=" + "7" * 5000,
 )
 
 

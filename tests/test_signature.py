@@ -1,8 +1,10 @@
 import hashlib
 import random
+import re
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import signatures
 from cursor_parser import PIECES, check_seed_texts, cursor_parse, outcome
 from test_acceptance import suite
+from orb2d import signature
 from orb2d.cli import main
 from orb2d.signature import (
     MANIFOLD,
@@ -86,6 +89,30 @@ class TestParse:
         with pytest.raises(SignatureValueError, match=f"^{message}$"):
             Signature.make(True, genus, punctures, boundary)
 
+    @pytest.mark.parametrize(
+        "genus,punctures,boundary,cones",
+        [
+            (1.5, 0, (), ()),
+            (1, 0.0, (), ()),
+            (1, 0, (), (2.5, 3)),
+            (1, 0, (BoundaryCircle(MIRROR, (2, 3.0)),), ()),
+            (True, 1.5, (), (2.5, 3)),
+        ],
+    )
+    def test_make_refuses_non_integers(self, genus, punctures, boundary, cones):
+        with pytest.raises(TypeError):
+            Signature.make(True, genus, punctures, boundary, cones)
+
+    def test_make_reads_bools_as_integers(self):
+        sig = Signature.make(False, True, True, [BoundaryCircle(MIRROR, (3, 2))], [3, 2])
+        assert format_signature(sig) == "N;g=1;pun=1;cones=2,3;bdry=r(2,3)"
+        assert type(sig.genus) is type(sig.punctures) is int
+        assert format_signature(Signature.make(True, True)) == "O;g=1"
+        with pytest.raises(SignatureValueError, match="^cone order 1 < 2$"):
+            Signature.make(True, 0, cones=[True, 3])
+        with pytest.raises(SignatureValueError, match="^corner order 1 < 2$"):
+            Signature.make(True, 0, boundary=[BoundaryCircle(MIRROR, (2, True))])
+
     def test_bad_orientation_token(self):
         with pytest.raises(SignatureSyntaxError):
             parse_signature("X;g=0")
@@ -127,6 +154,65 @@ class TestParserOracle:
             at %= len(text) + 1
             text = text[:at] + piece + text[at:]
         assert outcome(parse_signature, text) == outcome(cursor_parse, text)
+
+
+    @settings(max_examples=300)
+    @given(signatures(), st.data())
+    def test_loose_spellings_take_the_grammar_match(self, sig, data):
+        text = data.draw(loose_spellings(sig))
+        refuse = AssertionError(f"{text!r} fell to the token walk")
+        with mock.patch.object(signature, "_token_walk", side_effect=refuse):
+            assert parse_signature(text) == sig
+        assert cursor_parse(text) == sig
+
+    def test_character_classes_agree(self):
+        """The grammar's \\s and \\d take what str.split, str.isspace,
+        str.isdecimal and int() take, over every code point."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.sub(r"\s", "", every) == "".join(every.split())
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+        digits = re.findall(r"\d", every)
+        assert digits == [c for c in every if c.isdecimal()]
+        numerals = [c for c in every if c.isnumeric()]
+        assert [c for c in numerals if _reads_as_int(c)] == digits
+
+
+def _reads_as_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Whitespace that requests put at token boundaries, and digits in other scripts.
+_BLANKS = " \t\n\xa0\x1c\x85\u3000"
+_DIGIT_SCRIPTS = [str.maketrans("0123456789", "".join(map(chr, range(zero, zero + 10))))
+                  for zero in (ord("0"), 0x0660, 0xFF10)]
+
+
+@st.composite
+def loose_spellings(draw, sig):
+    """``sig`` spelled as requests spell it: fields, cones and circles
+    shuffled, corners rotated, an explicit ``pun=0`` now and then,
+    whitespace at token boundaries and some digits in another script."""
+    fields = [("g", str(sig.genus))]
+    if sig.punctures or draw(st.booleans()):
+        fields.append(("pun", str(sig.punctures)))
+    if sig.cones:
+        fields.append(("cones", ",".join(map(str, draw(st.permutations(sig.cones))))))
+    circles = []
+    for circle in sig.boundary:
+        turn = draw(st.integers(0, max(len(circle.corners) - 1, 0)))
+        corners = circle.corners[turn:] + circle.corners[:turn]
+        circles.append("m" if circle.kind == MANIFOLD else "r(" + ",".join(map(str, corners)) + ")")
+    if circles:
+        fields.append(("bdry", ",".join(draw(st.permutations(circles)))))
+    text = ("O" if sig.orientable else "N") + "".join(f";{n}={v}" for n, v in draw(st.permutations(fields)))
+    tokens = re.findall(r"[;=,()]|\d+|[a-zA-Z]+", text)
+    tokens = [t.translate(draw(st.sampled_from(_DIGIT_SCRIPTS))) if t.isdigit() else t for t in tokens]
+    blanks = draw(st.lists(st.text(_BLANKS, max_size=2), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(b + t for b, t in zip(blanks, tokens + [""]))
 
 
 class TestFormat:
