@@ -15,7 +15,7 @@ with the genus.  All integer arithmetic is arbitrary precision.
 from __future__ import annotations
 
 from operator import index, mul
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 # group_order_if_finite is classify's; it is named here too because the
 # benchmark's tracer names its layer group.group_order_if_finite.
@@ -123,12 +123,13 @@ def relation_matrix(p: Presentation) -> IntegerMatrix:
     return IntegerMatrix([row.get(col, 0) for col in range(cols)] for row in rows)
 
 
-def _det(matrix: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
+def _det(matrix: IntegerMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination, on a copy
+    of ``matrix``."""
+    a = [list(row) for row in matrix]
+    n = len(a)
     if n == 0:
         return 1
-    a = [row[:] for row in matrix]
     sign = 1
     prev = 1
     for t in range(n - 1):
@@ -140,12 +141,24 @@ def _det(matrix: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
+        # Column t is not read again, so only the entries right of it change.
+        top = a[t]
+        p = top[t]
+        rest = range(t + 1, n)
+        for i in rest:
+            row = a[i]
+            x = row[t]
+            for j in rest:
+                row[j] = (row[j] * p - x * top[j]) // prev
+        prev = p
     return sign * a[n - 1][n - 1]
+
+
+def _wrapped(rows: Iterable[list[int]]) -> IntegerMatrix:
+    """Rows of plain ints as an IntegerMatrix, without reading each entry
+    again: for the Smith kernel's transforms, which it builds from the ints
+    of a validated matrix by integer arithmetic alone."""
+    return tuple.__new__(IntegerMatrix, map(tuple, rows))
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithForm:
@@ -160,37 +173,55 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
     r, c = m.rows, m.cols
     a = [[*row, *[0] * i, 1, *[0] * (r - 1 - i)] for i, row in enumerate(m)]
     a += [[0] * i + [1] + [0] * (c + r - 1 - i) for i in range(c)]
+    width = range(c + r)
 
     for t in range(min(r, c)):
         while True:
             # Move the smallest nonzero entry of the trailing block to (t, t),
-            # the first in row order on a tie; no entry is smaller than 1.
+            # the first in row order on a tie.  No entry is smaller than 1,
+            # so the hunt ends at the first unit.
             best = 0
             for i in range(t, r):
-                for j, x in enumerate(a[i][t:c], t):
-                    if x and (not best or abs(x) < best):
-                        pivot, best = (i, j), abs(x)
+                row = a[i]
+                for j in range(t, c):
+                    x = row[j]
+                    if x:
+                        if x < 0:
+                            x = -x
+                        if x < best or not best:
+                            pivot_i, pivot_j, best = i, j, x
+                            if x == 1:
+                                break
                 if best == 1:
                     break
             if not best:
                 break
-            i, j = pivot
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-            if j != t:
+            if pivot_i != t:
+                a[t], a[pivot_i] = a[pivot_i], a[t]
+            if pivot_j != t:
                 for row in a:
-                    row[t], row[j] = row[j], row[t]
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            # Clear row and column t; remainders re-enter the pivot hunt. Each
-            # column operation reads its multiplier from row t before any
-            # change and writes only its own column, so one pass applies all.
+                    row[t], row[pivot_j] = row[pivot_j], row[t]
             top = a[t]
+            if top[t] < 0:
+                for j in width:
+                    top[j] = -top[j]
             p = top[t]
+            # Clear row and column t; remainders re-enter the pivot hunt. A
+            # row operation skips the zeros of row t.  Each column operation
+            # reads its multiplier from row t before any change and writes
+            # only its own column, so one pass applies all.
+            remainder = False
             for i in range(t + 1, r):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+                row = a[i]
+                x = row[t]
+                if x:
+                    q = x // p
+                    for j in width:
+                        y = top[j]
+                        if y:
+                            row[j] -= q * y
+                    if row[t]:
+                        remainder = True
             ops = [(j, top[j] // p) for j in range(t + 1, c) if top[j]]
             if ops:
                 for row in a:
@@ -201,7 +232,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
             # A unit pivot clears its row and column and divides everything.
             if p == 1:
                 break
-            if any(a[i][t] for i in range(t + 1, r)) or any(top[t + 1:c]):
+            if remainder or any(top[t + 1:c]):
                 continue
             # Enforce divisibility into the trailing block: add the first row
             # with an entry that the pivot does not divide, and hunt again.
@@ -213,28 +244,34 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
                 break
 
     diagonal = tuple(a[i][i] for i in range(min(r, c)))
-    left = IntegerMatrix(row[c:] for row in a[:r])
-    right = IntegerMatrix(row[:c] for row in a[r:])
-    form = SmithForm(diagonal, left, right)
+    form = SmithForm(diagonal, _wrapped(row[c:] for row in a[:r]), _wrapped(row[:c] for row in a[r:]))
     _check_smith(m, form)
     return form
 
 
 def _check_smith(m: IntegerMatrix, form: SmithForm) -> None:
     left, right, diagonal = form.left_transform, form.right_transform, form.diagonal
-    columns = list(zip(*m))
-    lm = [[sum(map(mul, row, col)) for col in columns] for row in left]
-    columns = list(zip(*right))
-    prod = [[sum(map(mul, row, col)) for col in columns] for row in lm]
-    n = len(diagonal)
-    if prod != [[diagonal[i] if i == j < n else 0 for j in range(m.cols)] for i in range(m.rows)]:
+    # Each row of left * m * right is compared with its row of the diagonal
+    # matrix as soon as it is computed, so the row count is checked first.
+    if len(left) != m.rows:
         raise InternalInconsistencyError("Smith form does not re-multiply")
+    m_columns, right_columns = list(zip(*m)), list(zip(*right))
+    n = min(len(diagonal), m.cols)
+    expected = [0] * m.cols
+    for i, row in enumerate(left):
+        lm = [sum(map(mul, row, col)) for col in m_columns]
+        if i < n:
+            expected[i] = diagonal[i]
+        if [sum(map(mul, lm, col)) for col in right_columns] != expected:
+            raise InternalInconsistencyError("Smith form does not re-multiply")
+        if i < n:
+            expected[i] = 0
     for d, nxt in zip(diagonal, diagonal[1:]):
         if d == 0 and nxt != 0:
             raise InternalInconsistencyError("zero before nonzero on Smith diagonal")
         if d and nxt % d:
             raise InternalInconsistencyError("Smith diagonal not a divisibility chain")
-    if abs(_det([list(row) for row in left])) != 1 or abs(_det([list(row) for row in right])) != 1:
+    if abs(_det(left)) != 1 or abs(_det(right)) != 1:
         raise InternalInconsistencyError("Smith transforms not unimodular")
 
 

@@ -109,10 +109,13 @@ class Signature(NamedTuple):
         cones: Iterable[int] = (),
     ) -> "Signature":
         """Validated, canonical signature.  Each boundary circle is read as
-        a ``(kind, corners)`` pair, such as a :class:`BoundaryCircle`.  The
+        a ``(kind, corners)`` pair, such as a :class:`BoundaryCircle`.
+        ``orientable`` must be a bool; anything else raises TypeError.  The
         genus, the punctures and each order are read with
         ``operator.index``: a float raises TypeError, and a bool reads as 0
         or 1."""
+        if not isinstance(orientable, bool):
+            raise TypeError(f"orientable must be a bool, not {type(orientable).__name__}")
         genus = index(genus)
         if genus < 0:
             raise SignatureValueError("genus must be nonnegative")
@@ -269,10 +272,19 @@ def _grammar() -> re.Pattern[str]:
     field = rf"(?:g|pun){s}={s}\d+|cones{s}={s}{ints}|bdry{s}={s}{circle}(?:{s},{s}{circle})*"
     return re.compile(rf"{s}[ON](?:{s};{s}(?:{field}))*{s}")
 
-# A token is grammar punctuation (the commonest, so tried first), a run of
-# decimal digits, a run of letters or one other character.  No alternative
-# matches whitespace, so findall skips it between tokens.
-_TOKEN = re.compile(r"[;=,()]|\d+|[^\W\d_]+|\S")
+
+@cache
+def _token() -> re.Pattern[str]:
+    """One token of :func:`_token_walk`, compiled on first use, since only
+    refused text is walked.
+
+    A token is grammar punctuation (the commonest, so tried first), a run
+    of decimal digits, a run of letters or one other character.  No
+    alternative matches whitespace, so findall skips it between tokens.
+    """
+    return re.compile(r"[;=,()]|\d+|[^\W\d_]+|\S")
+
+
 _FIELDS = ("g", "pun", "cones", "bdry")
 
 
@@ -326,7 +338,7 @@ def _circles(bdry: str) -> list[tuple[str, tuple[int, ...]]]:
 def _token_walk(text: str) -> Signature:
     """:func:`parse_signature` one token at a time, raising the first fault
     with its position."""
-    tokens = _TOKEN.findall(text)
+    tokens = _token().findall(text)
     tokens += "", ""  # end marks: a list scan reads one token past a last ','
     if not text.isascii():  # [^\W\d_] also takes numerals that isalpha refuses
         tokens = [part for token in tokens for part in _split_name(token)]

@@ -113,6 +113,19 @@ class TestParse:
         with pytest.raises(SignatureValueError, match="^corner order 1 < 2$"):
             Signature.make(True, 0, boundary=[BoundaryCircle(MIRROR, (2, True))])
 
+    @pytest.mark.parametrize("orientable", [2, "yes", None])
+    def test_make_refuses_non_bool_orientable(self, orientable):
+        # Kept as given, 2 would print O;g=0 yet compare unequal to the
+        # signature made from True.  The type is checked before the genus.
+        with pytest.raises(TypeError, match="^orientable must be a bool"):
+            Signature.make(orientable, -1)
+
+    @pytest.mark.parametrize("orientable,text", [(True, "O;g=1;cones=2"), (False, "N;g=1;cones=2")])
+    def test_make_takes_bool_orientable(self, orientable, text):
+        sig = Signature.make(orientable, 1, cones=[2])
+        assert sig.orientable is orientable
+        assert sig == parse_signature(text) and format_signature(sig) == text
+
     def test_bad_orientation_token(self):
         with pytest.raises(SignatureSyntaxError):
             parse_signature("X;g=0")
