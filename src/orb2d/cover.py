@@ -25,7 +25,10 @@ the set entries already close, short of all n points (no completion is
 transitive), and, while the table of the last handle generator b is
 still empty, so that the open slot is its first, an a that is not
 conjugate to T a, where T is the rest of the relator (no b solves
-a b a^-1 b^-1 T = 1).
+a b a^-1 b^-1 T = 1).  The orbit walk reads b's table first, so it can
+cut only once b has an entry.  T is built once per assignment of the
+tables before a, and a's and T a's fixed points are counted before their
+cycle types are walked.
 
 The deduction skips the scans that cannot deduce: while the table of the
 last handle generator b has no entry, no rotation of the long relator can
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import index
+from operator import eq, index
 from typing import NamedTuple
 
 from .signature import InternalInconsistencyError, PreconditionError, Signature, format_rational, orbifold_euler
@@ -163,12 +166,18 @@ def verify_witness(sig: Signature, w: CoverWitness) -> VerifyResult:
     cycle-type and orbit walks.
 
     Diagnostics name the first failed invariant, in the order: uniform
-    cycle type, relator, transitivity, Euler bookkeeping.
+    cycle type, relator, transitivity, Euler bookkeeping.  A cover_genus
+    that is not an integer (read with ``operator.index``) or a cover_euler
+    that is neither an int nor a Fraction raises TypeError, since a float
+    would compare equal to an inexact value.
     """
     if not sig.is_reduced:
         raise PreconditionError("witnesses certify closed orientable cone-only signatures")
     if len(w.cone_images) != len(sig.cones) or len(w.handle_images) != sig.genus:
         raise ValueError("witness shape does not match the signature")
+    genus = index(w.cover_genus)
+    if not isinstance(w.cover_euler, (int, Fraction)):
+        raise TypeError("cover_euler must be an int or a Fraction")
     all_perms = [p for pair in w.handle_images for p in pair] + list(w.cone_images)
     for p in all_perms:
         if len(p) != w.degree or sorted(p) != list(range(w.degree)):
@@ -182,7 +191,7 @@ def verify_witness(sig: Signature, w: CoverWitness) -> VerifyResult:
     if w.degree < 1 or _orbit_size(w.degree, all_perms) != w.degree:
         return VerifyResult(False, "transitivity: the action is not transitive")
     expected = w.degree * orbifold_euler(sig)
-    if w.cover_euler != expected or w.cover_euler != 2 - 2 * w.cover_genus or w.cover_genus < 0:
+    if w.cover_euler != expected or w.cover_euler != 2 - 2 * genus or genus < 0:
         return VerifyResult(False, "euler: cover_euler != degree * chi = 2 - 2 * cover_genus")
     return VerifyResult(True)
 
@@ -236,9 +245,11 @@ class _Search:
         for r, (gen, sign) in enumerate(word):
             if sign > 0:
                 self.scan_start[gen] = r
-        # The letters x_1 .. x_k [a_1, b_1] .. [a_{g-1}, b_{g-1}] a_g of the
-        # doubled word, whose product is T a in _dead_end.
-        self.ta_tables = self.fwd[4 * g : len(word) + 4 * g - 3]
+        # The letters x_1 .. x_k [a_1, b_1] .. [a_{g-1}, b_{g-1}] of the
+        # doubled word, whose product is T in _dead_end; t is that product,
+        # kept while the tables before a_g stay as they are, or None.
+        self.t_tables = self.fwd[4 * g : len(word) + 4 * g - 4]
+        self.t: list[int] | None = None
         # b_g's table, whose emptiness _propagate and _dead_end test; None at genus 0.
         self.last_row = self.img[-1] if g else None
         # Every entry (gen, p, q) set, in order; the entries from head on
@@ -362,18 +373,34 @@ class _Search:
         relator read from a = a_g is a b a^-1 b^-1 T = 1, with T = x_1 ...
         x_k [a_1, b_1] ... [a_{g-1}, b_{g-1}], so b a^-1 b^-1 = (T a)^-1:
         some b exists if and only if a and T a have the same cycle type.
+        Their fixed-point counts are part of it and are compared first.
+
+        T is built at b's first slot on first need and kept in self.t until
+        the search is asked at a's slot with a's first entry unset, which is
+        how run re-enters a: no scan runs while b is empty, so a table
+        before a changes only when the search backtracks below a's entries,
+        and a is then filled again from its first slot.
 
         And if the points reachable from 0 through the set entries are
         closed under every generator but fewer than n, every completion
-        keeps them invariant, so none is transitive.
+        keeps them invariant, so none is transitive.  That walk reads b's
+        row first, so it meets an unset entry at once while b is empty.
         """
-        if gen == self.ngens - 1 and self.last_row.count(-1) == self.n:
-            ta = list(range(self.n))
-            for row in self.ta_tables:
-                ta = [row[x] for x in ta]
-            if _cycle_type(self.img[gen - 1]) != _cycle_type(ta):
-                return True
-        return 0 < _orbit_size(self.n, self.later_first) < self.n
+        n = self.n
+        if self.last_row.count(-1) == n:
+            if gen == self.ngens - 1:
+                if self.t is None:
+                    t = list(range(n))
+                    for row in self.t_tables:
+                        t = [row[x] for x in t]
+                    self.t = t
+                a = self.img[gen - 1]
+                ta = [a[x] for x in self.t]
+                return sum(map(eq, a, range(n))) != sum(map(eq, ta, range(n))) or _cycle_type(a) != _cycle_type(ta)
+            if gen == self.ngens - 2 and self.img[gen][0] == -1:
+                self.t = None
+            return False
+        return 0 < _orbit_size(n, self.later_first) < n
 
     def _undo(self, mark: int) -> None:
         """Clear the entries set since the trail had length mark."""

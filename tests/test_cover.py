@@ -451,6 +451,31 @@ class TestHandleSlotCuts:
             outcomes.add(exists)
         assert outcomes == {True, False}
 
+    def test_kept_t_follows_every_t_state(self):
+        # One search over many T-states, asked as run asks: at a_2's first
+        # slot with a_2's table empty, then at b_2's first slot for a few
+        # a_2 in turn.  The cut keeps T from one a_2 to the next, and must
+        # answer as the S_4 brute force does for the T of each state.
+        rng = random.Random(31)
+        perms = list(itertools.permutations(range(4)))
+        search = _Search(sig("O;g=2;cones=2,2"), 4)
+        outcomes = set()
+        for _ in range(200):
+            x1, x2, a1, b1 = (rng.choice(perms) for _ in range(4))
+            for gen, perm in enumerate((x1, x2, a1, b1)):
+                search.img[gen][:] = perm
+                search.pre[gen][:] = inverse(perm)
+            search.img[4][:] = search.pre[4][:] = [-1] * 4
+            assert not search._dead_end(4)
+            t = compose(compose(x1, x2), commutator_times(a1, b1, identity(4)))
+            for a2 in rng.sample(perms, 3):
+                search.img[4][:] = a2
+                search.pre[4][:] = inverse(a2)
+                exists = any(commutator_times(a2, b, t) == identity(4) for b in perms)
+                assert search._dead_end(5) == (not exists)
+                outcomes.add(exists)
+        assert outcomes == {True, False}
+
     def test_closed_short_orbit_is_a_dead_end(self):
         # a = identity and b(0) = 0 close the orbit {0} of a torus at
         # degree 3, so no completion is transitive; b(0) = 1 leaves it open.
@@ -505,6 +530,18 @@ LADDER_RUNGS = (
     ("O;g=0;cones=2,5,5", 10, 77, 0, None),
 )
 CERTIFY_LADDER = tuple(text for text, *_, digest in LADDER_RUNGS if digest)
+# Genus >= 2 searches, whose T holds a commutator, and searches that meet
+# more than one T-state (an assignment of the tables before a_g): 5 on
+# O;g=1;cones=2,3@6 and 4 on O;g=2;cones=2@2.  Pinned beside the ladders,
+# not in them, since the ladders mirror the benchmark.
+T_STATE_RUNGS = (
+    ("O;g=2;cones=2,2,3", 12, 721, 706, "b1873b01a954"),
+    ("O;g=2;cones=2,6,6", 12, 1972, 1951, "70387dde13a3"),
+    ("O;g=2;cones=4,4,4", 16, 16090, 16065, "50770e8bbdd0"),
+    ("O;g=3;cones=2", 4, 26, 25, "8543f7893940"),
+    ("O;g=1;cones=2,3", 6, 9797, 9785, None),
+    ("O;g=2;cones=2", 2, 29, 29, None),
+)
 
 
 def count_calls(monkeypatch, *names):
@@ -530,7 +567,9 @@ class TestPinnedWitnesses:
         assert digest == "ff4e230521d15551b56ae148db981549107c1ab3f48e4eb161921994478ab192"
 
     @pytest.mark.parametrize(
-        "text,degree,next_slots,dead_ends,digest", LADDER_RUNGS, ids=[f"{t}@{n}" for t, n, *_ in LADDER_RUNGS]
+        "text,degree,next_slots,dead_ends,digest",
+        LADDER_RUNGS + T_STATE_RUNGS,
+        ids=[f"{t}@{n}" for t, n, *_ in LADDER_RUNGS + T_STATE_RUNGS],
     )
     def test_ladder_search_trees_unchanged(self, monkeypatch, text, degree, next_slots, dead_ends, digest):
         calls = count_calls(monkeypatch, "_next_slot", "_dead_end")
@@ -705,6 +744,16 @@ class TestVerifyWitness:
         broken = self.witness._replace(cover_genus=2, cover_euler=Fraction(-2))
         result = verify_witness(self.sig, broken)
         assert not result.ok and result.failure.startswith("euler")
+
+    @pytest.mark.parametrize("field", ["cover_euler", "cover_genus"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, None, "0/1"])
+    def test_inexact_euler_bookkeeping_raises(self, field, value):
+        # A float would compare equal to the exact value it stands for.
+        with pytest.raises(TypeError):
+            verify_witness(self.sig, self.witness._replace(**{field: value}))
+
+    def test_int_cover_euler_is_exact(self):
+        assert verify_witness(self.sig, self.witness._replace(cover_euler=0)).ok
 
     def test_degree_mismatch_raises(self):
         broken = self.witness._replace(cone_images=self.witness.cone_images[:3] + (identity(3),))
